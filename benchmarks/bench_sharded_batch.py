@@ -1,31 +1,33 @@
-"""Sharded + cached batch serving benchmark vs. the serial engine path.
+"""Sharded + cached batch serving benchmark vs. the planned serial executor.
 
 Models the paper's Table-4-style serving scenario: the same batch of popular
 query vertices is answered repeatedly (applications re-query every refresh).
 Three execution paths answer the identical workload:
 
-* **serial** — one :class:`repro.engine.QueryEngine`, every query answered
-  in-process, every round recomputed (the pre-service state of the art);
-* **sharded** — :class:`repro.service.ShardedExecutor` with a process pool,
-  batches partitioned by k-ĉore component, no answer cache;
+* **serial** — :class:`repro.service.ShardedExecutor` with ``workers=0``:
+  each batch planned and answered in-process through the factorised group
+  executor, every round recomputed — the path the pool competes with;
+* **sharded** — the same executor with a process pool, the plan's groups
+  shipped to workers as shared-memory shards, no answer cache;
 * **service** — :class:`repro.service.SACService` with the pool *and* the
   persistent answer cache, so repeat rounds are served from cache.
 
 All three must return bit-identical results (member sets, circle floats,
 stats) — the benchmark exits non-zero if they ever diverge.  Throughput is
-reported per path; the headline ``service`` speedup comes from sharding on
-multi-core machines plus cache hits on repeat rounds, and the benchmark
-prints whether the ≥2× target over the serial path was met.
+reported per path: ``sharded_speedup`` is the pool against the planned
+serial path, and the headline ``service`` speedup adds cache hits on repeat
+rounds; the benchmark prints whether the ≥2× service target was met.
 
 An **overlap sweep** mode (``--overlap-sweep``) measures the factorised
 batch planner instead: the same base queries are duplicated 1×/2×/4×/8× and
-answered through ``QueryEngine.search_many`` with the plan on and off.  The
-per-query path pays every duplicate; the planner answers each distinct query
-once and shares each ``(component, k)`` group's candidate artifacts and
-distance matrix, so its per-query cost drops superlinearly with overlap
-(speedup at factor *f* exceeds *f*).  The sweep re-checks bit-identity
-across the planned, per-query, sharded, and cached paths and exits non-zero
-when answers diverge or the plan's factorisation counters stay zero.
+answered through ``QueryEngine.search_many`` and through a loop of
+``QueryEngine.search`` on a warmed engine.  The per-query loop pays every
+duplicate; the planner answers each distinct query once and shares each
+``(component, k)`` group's candidate artifacts and distance matrix, so its
+per-query cost drops superlinearly with overlap (speedup at factor *f*
+exceeds *f*).  The sweep re-checks bit-identity across the planned,
+per-query, sharded, and cached paths and exits non-zero when answers
+diverge or the plan's factorisation counters stay zero.
 
 Run standalone::
 
@@ -64,21 +66,8 @@ def _identical(first, second) -> bool:
     )
 
 
-def _time_serial(graph, queries, k, rounds, epsilon_f):
-    """Serial engine path: recompute every query every round."""
-    engine = QueryEngine(graph)
-    results = {}
-    start = time.perf_counter()
-    for _ in range(rounds):
-        for query in queries:
-            results[query] = engine.search(
-                query, k, algorithm="appfast", epsilon_f=epsilon_f
-            )
-    return results, time.perf_counter() - start
-
-
-def _time_sharded(graph, queries, k, rounds, epsilon_f, workers):
-    """Sharded pool path, cache off: every round pays the pool."""
+def _time_executor(graph, queries, k, rounds, epsilon_f, workers):
+    """Planned executor, cache off: every round recomputes (pool if ``workers``)."""
     executor = ShardedExecutor(QueryEngine(graph), workers=workers)
     results = {}
     start = time.perf_counter()
@@ -87,7 +76,7 @@ def _time_sharded(graph, queries, k, rounds, epsilon_f, workers):
         results.update(batch.results)
     elapsed = time.perf_counter() - start
     executor.close()
-    return results, elapsed, executor.stats
+    return results, elapsed
 
 
 def _time_service(graph, queries, k, rounds, epsilon_f, workers):
@@ -121,8 +110,10 @@ def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, ro
             continue
         total_queries = len(queries) * rounds
 
-        serial_results, serial_time = _time_serial(graph, queries, k, rounds, epsilon_f)
-        sharded_results, sharded_time, _stats = _time_sharded(
+        serial_results, serial_time = _time_executor(
+            graph, queries, k, rounds, epsilon_f, 0
+        )
+        sharded_results, sharded_time = _time_executor(
             graph, queries, k, rounds, epsilon_f, workers
         )
         service_results, service_time, cache_hits = _time_service(
@@ -195,7 +186,7 @@ def _sweep_variants_identical(planned, serial, sharded, cached) -> bool:
 def run_overlap_sweep(
     dataset_name, *, scale, base_queries, factors, k, epsilon_f, workers
 ):
-    """Duplicate a base batch by each factor; time planned vs per-query.
+    """Duplicate a base batch by each factor; time planned vs a search loop.
 
     Returns ``(rows, identical, counters, superlinear)`` where ``counters``
     snapshots the planned engine's factorisation stats and ``superlinear``
@@ -214,9 +205,8 @@ def run_overlap_sweep(
     # Warm both engines on the base batch so the sweep times query
     # answering, not the one-off core decomposition and bundle builds.
     planned_engine.search_many(base, k, algorithm="appfast", epsilon_f=epsilon_f)
-    serial_engine.search_many(
-        base, k, algorithm="appfast", plan=False, epsilon_f=epsilon_f
-    )
+    for query in base:
+        serial_engine.search(query, k, algorithm="appfast", epsilon_f=epsilon_f)
     executor = ShardedExecutor(QueryEngine(graph), workers=workers)
     service = SACService(graph, workers=workers)
 
@@ -233,9 +223,12 @@ def run_overlap_sweep(
         planned_time = time.perf_counter() - start
 
         start = time.perf_counter()
-        serial = serial_engine.search_many(
-            batch, k, algorithm="appfast", plan=False, epsilon_f=epsilon_f
-        )
+        serial = {
+            query: serial_engine.search(
+                query, k, algorithm="appfast", epsilon_f=epsilon_f
+            )
+            for query in batch
+        }
         serial_time = time.perf_counter() - start
 
         sharded = executor.run(
@@ -383,7 +376,7 @@ def main(argv=None) -> int:
     )
     write_result(
         "sharded_batch",
-        "Serving-layer batch throughput (serial vs sharded vs cached service)",
+        "Serving-layer batch throughput (planned serial vs sharded vs cached service)",
         rows,
     )
     if not identical:
@@ -394,7 +387,7 @@ def main(argv=None) -> int:
         target = "met" if overall["service_speedup"] >= 2.0 else "NOT met (machine-dependent)"
         print(
             f"overall: sharded {overall['sharded_speedup']}x, "
-            f"service {overall['service_speedup']}x vs serial "
+            f"service {overall['service_speedup']}x vs planned serial "
             f"({overall['service_qps']} q/s) — >=2x target {target}"
         )
     return 0

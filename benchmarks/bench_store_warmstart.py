@@ -17,10 +17,11 @@ with byte-identical answers enforced throughout:
   path-independent, so the TTFA ratio is readiness diluted by however
   expensive the first query happens to be).
 * **Per-batch dispatch bytes** — the same repeated batch is served by a
-  :class:`repro.service.ShardedExecutor` on the legacy pickle protocol
-  (component arrays re-serialised every batch) and on the shared-memory
-  protocol (arrays published once, per-batch messages carry query ids).
-  Reported from the executors' own ``ExecutorStats`` byte counters.
+  :class:`repro.service.ShardedExecutor` process pool, which publishes the
+  component arrays once into shared memory and sends per-batch messages
+  carrying only query ids.  Reported from the executor's own
+  ``ExecutorStats`` byte counters: the per-batch task bytes against the
+  bytes shared once.
 
 Run standalone::
 
@@ -97,31 +98,24 @@ def _time_warm_start(store_path, query, k, epsilon_f):
 
 
 def _dispatch_costs(store_path, queries, k, epsilon_f, workers, rounds, reference):
-    """Serve the same repeated batch on both dispatch protocols.
+    """Serve the same repeated batch on the shared-memory pool.
 
-    Returns per-batch byte costs from the executors' counters plus whether
-    every answer matched ``reference`` bitwise.
+    Returns the byte costs from the executor's counters plus whether every
+    answer matched ``reference`` bitwise.
     """
     identical = True
-    costs = {}
-    for label, use_shm in (("pickle", False), ("shm", True)):
-        executor = ShardedExecutor(
-            QueryEngine.from_store(store_path), workers=workers, use_shared_memory=use_shm
-        )
-        start = time.perf_counter()
-        for _round in range(rounds):
-            batch = executor.run(queries, k, algorithm="appfast", epsilon_f=epsilon_f)
-            for query, result in batch.results.items():
-                identical &= _identical(result, reference[query])
-        elapsed = time.perf_counter() - start
-        stats = executor.stats
-        executor.close()
-        costs[label] = {
-            "elapsed": elapsed,
-            "per_batch_bytes": (stats.bytes_pickled + stats.bytes_dispatched) / rounds,
-            "shared_once": stats.bytes_shared,
-            "fallbacks": stats.serial_fallbacks + stats.shm_fallbacks,
-        }
+    executor = ShardedExecutor(QueryEngine.from_store(store_path), workers=workers)
+    for _round in range(rounds):
+        batch = executor.run(queries, k, algorithm="appfast", epsilon_f=epsilon_f)
+        for query, result in batch.results.items():
+            identical &= _identical(result, reference[query])
+    stats = executor.stats
+    executor.close()
+    costs = {
+        "per_batch_bytes": stats.bytes_dispatched / rounds,
+        "shared_once": stats.bytes_shared,
+        "fallbacks": stats.serial_fallbacks,
+    }
     return costs, identical
 
 
@@ -182,10 +176,9 @@ def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, wo
                         cold_seconds / warm_seconds if warm_seconds > 0 else float("inf"),
                         1,
                     ),
-                    "pickle_B_per_batch": int(costs["pickle"]["per_batch_bytes"]),
-                    "shm_B_per_batch": int(costs["shm"]["per_batch_bytes"]),
-                    "shm_B_shared_once": int(costs["shm"]["shared_once"]),
-                    "fallbacks": costs["pickle"]["fallbacks"] + costs["shm"]["fallbacks"],
+                    "shm_B_per_batch": int(costs["per_batch_bytes"]),
+                    "shm_B_shared_once": int(costs["shared_once"]),
+                    "fallbacks": costs["fallbacks"],
                     "identical": matches,
                 }
             )
@@ -198,7 +191,7 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true", help="small CI smoke workload")
     parser.add_argument("--scale", type=float, default=None, help="dataset scale multiplier")
     parser.add_argument("--queries", type=int, default=None, help="queries per batch")
-    parser.add_argument("--rounds", type=int, default=None, help="dispatch rounds per protocol")
+    parser.add_argument("--rounds", type=int, default=None, help="dispatch rounds")
     parser.add_argument("--workers", type=int, default=2, help="process-pool size")
     parser.add_argument("--k", type=int, default=4)
     parser.add_argument("--epsilon-f", type=float, default=0.5)
@@ -238,15 +231,15 @@ def main(argv=None) -> int:
     if rows:
         worst = min(speedups)
         target = "met" if worst >= 10.0 else "NOT met (machine/scale-dependent)"
-        shrink = [
-            row["pickle_B_per_batch"] / row["shm_B_per_batch"]
+        ratios = [
+            row["shm_B_shared_once"] / row["shm_B_per_batch"]
             for row in rows
             if row["shm_B_per_batch"]
         ]
         print(
             f"overall: engine readiness {worst:.1f}x faster at worst from a "
-            f"snapshot (target >=10x {target}); per-batch dispatch bytes "
-            f"shrink {min(shrink):.0f}x at worst on the shared-memory protocol"
+            f"snapshot (target >=10x {target}); per-batch task messages are "
+            f"{min(ratios):.0f}x smaller at worst than the arrays shared once"
         )
     return 0
 

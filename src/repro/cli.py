@@ -149,12 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--epsilon-f", type=float, default=0.5, help="AppFast slack")
     batch.add_argument("--epsilon-a", type=float, default=0.5, help="AppAcc / Exact+ accuracy")
-    batch.add_argument(
-        "--no-plan",
-        action="store_true",
-        help="answer batch queries one by one instead of through the "
-        "factorised batch plan",
-    )
     _add_resident_budget_argument(batch)
 
     serve = subparsers.add_parser(
@@ -199,18 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the answer cache (every round recomputes)",
-    )
-    serve.add_argument(
-        "--no-shared-memory",
-        action="store_true",
-        help="dispatch shards by re-pickling arrays every batch instead of "
-        "publishing shared-memory segments once",
-    )
-    serve.add_argument(
-        "--no-plan",
-        action="store_true",
-        help="answer batch queries one by one instead of through the "
-        "factorised batch plan",
     )
     serve.add_argument(
         "--deadline-ms",
@@ -280,18 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the answer cache (every query recomputes)",
-    )
-    daemon.add_argument(
-        "--no-shared-memory",
-        action="store_true",
-        help="dispatch shards by re-pickling arrays every batch instead of "
-        "publishing shared-memory segments once",
-    )
-    daemon.add_argument(
-        "--no-plan",
-        action="store_true",
-        help="answer batch queries one by one instead of through the "
-        "factorised batch plan",
     )
     daemon.add_argument(
         "--static",
@@ -612,7 +582,6 @@ def _command_batch(args: argparse.Namespace) -> int:
         algorithm=args.algorithm,
         algorithm_params=_algorithm_params(args),
         engine=engine,
-        use_plan=not args.no_plan,
     )
     queries = _batch_queries(args, graph)
     batch = processor.run(queries)
@@ -653,8 +622,6 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         engine=engine,
         workers=args.workers,
         use_cache=not args.no_cache,
-        use_shared_memory=not args.no_shared_memory,
-        use_plan=not args.no_plan,
     )
     queries = _batch_queries(args, graph)
     params = _algorithm_params(args)
@@ -708,8 +675,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         f"dispatch       : {stats.executor.segments_created} segments created "
         f"({stats.executor.bytes_shared} B shared once), "
         f"{stats.executor.segments_reused} reuses, "
-        f"{stats.executor.bytes_dispatched} B task messages, "
-        f"{stats.executor.bytes_pickled} B pickled payloads"
+        f"{stats.executor.bytes_dispatched} B task messages"
     )
     if stats.cache is not None:
         print(
@@ -730,13 +696,12 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         f"{stats.engine.bundles_evicted} evicted, "
         f"{residency['pinned_dirty']} pinned dirty"
     )
-    if not args.no_plan:
-        print(
-            f"plan           : {stats.engine.batches_planned} batches planned, "
-            f"{stats.engine.plan_groups} groups, "
-            f"{stats.engine.queries_deduped} deduped, "
-            f"{stats.engine.queries_factorised} factorised"
-        )
+    print(
+        f"plan           : {stats.engine.batches_planned} batches planned, "
+        f"{stats.engine.plan_groups} groups, "
+        f"{stats.engine.queries_deduped} deduped, "
+        f"{stats.engine.queries_factorised} factorised"
+    )
     return 0 if answered else 1
 
 
@@ -806,8 +771,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         engine=engine,
         workers=args.workers,
         use_cache=not args.no_cache,
-        use_shared_memory=not args.no_shared_memory,
-        use_plan=not args.no_plan,
     )
     if args.store is not None:
         service.store_path = str(args.store)

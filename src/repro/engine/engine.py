@@ -41,7 +41,7 @@ from repro.core.result import SACResult
 from repro.core.searcher import ALGORITHMS
 from repro.engine.plan import BatchPlan, execute_plan, plan_batch
 from repro.engine.residency import BundleResidency
-from repro.exceptions import InvalidParameterError, NoCommunityError, VertexNotFoundError
+from repro.exceptions import InvalidParameterError, NoCommunityError
 from repro.graph.spatial_graph import Label, SpatialGraph
 from repro.kcore.decomposition import core_numbers, gather_neighbors
 
@@ -491,7 +491,6 @@ class QueryEngine:
         algorithm: str = "appfast",
         missing_ok: bool = True,
         errors: Optional[Dict[int, str]] = None,
-        plan: bool = True,
         **params: float,
     ) -> Dict[int, Optional[SACResult]]:
         """Answer a sequence of queries, mapping each to its result.
@@ -505,63 +504,32 @@ class QueryEngine:
         batch's answers; without ``errors`` the first such error raises,
         exactly like a single :meth:`search` call.
 
-        With ``plan`` (the default) the batch runs through the factorised
-        pipeline of :mod:`repro.engine.plan` — duplicates answered once,
-        queries grouped by k-ĉore component, each group's artifacts fetched
-        and distance matrix computed in one pass — with **bit-identical**
-        answers; ``plan=False`` restores the per-query loop (the reference
-        both the differential tests and the ``--no-plan`` escape hatches
-        compare against).  For full batch bookkeeping (timings, failure
-        lists, shard/cache stats) use :class:`repro.service.SACService`,
-        which is built on this engine.
+        The batch runs through the factorised pipeline of
+        :mod:`repro.engine.plan` — duplicates answered once, queries grouped
+        by k-ĉore component, each group's artifacts fetched and distance
+        matrix computed in one pass — with answers **bit-identical** to one
+        :meth:`search` per query.  For full batch bookkeeping (timings,
+        failure lists, shard/cache stats) use
+        :class:`repro.service.SACService`, which is built on this engine.
         """
         if algorithm not in ALGORITHMS:
             raise InvalidParameterError(
                 f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
             )
-        if plan:
-            try:
-                batch_plan = plan_batch(
-                    self, queries, k, algorithm=algorithm, params=params
-                )
-            except InvalidParameterError:
-                if not isinstance(k, int) or k < 1:
-                    # An invalid k surfaces per *query* on the serial path
-                    # (each search call rejects it), which the errors dict
-                    # contract depends on; replay it rather than raising
-                    # batch-wide.
-                    return self._search_many_serial(
-                        queries, k, algorithm, missing_ok, errors, params
-                    )
+        try:
+            batch_plan = plan_batch(self, queries, k, algorithm=algorithm, params=params)
+        except InvalidParameterError as error:
+            if isinstance(k, int) and k >= 1:
                 raise
-            return self._assemble_planned(batch_plan, missing_ok, errors)
-        return self._search_many_serial(queries, k, algorithm, missing_ok, errors, params)
-
-    def _search_many_serial(
-        self,
-        queries: Sequence[int],
-        k: int,
-        algorithm: str,
-        missing_ok: bool,
-        errors: Optional[Dict[int, str]],
-        params: Dict[str, float],
-    ) -> Dict[int, Optional[SACResult]]:
-        """The pre-plan per-query loop: one :meth:`search` per occurrence."""
-        results: Dict[int, Optional[SACResult]] = {}
-        for query in queries:
-            query = int(query)
-            try:
-                results[query] = self.search(query, k, algorithm=algorithm, **params)
-            except NoCommunityError:
-                if not missing_ok:
-                    raise
-                results[query] = None
-            except (InvalidParameterError, VertexNotFoundError) as error:
-                if errors is None:
-                    raise
+            # An invalid k fails every query on its own, as each single
+            # search would, so the errors-dict contract covers it too.
+            queries = [int(query) for query in queries]
+            if errors is None and queries:
+                raise
+            for query in queries:
                 errors[query] = str(error)
-                results[query] = None
-        return results
+            return dict.fromkeys(queries)
+        return self._assemble_planned(batch_plan, missing_ok, errors)
 
     def _assemble_planned(
         self,
@@ -569,9 +537,9 @@ class QueryEngine:
         missing_ok: bool,
         errors: Optional[Dict[int, str]],
     ) -> Dict[int, Optional[SACResult]]:
-        """Execute a plan and restore the per-query loop's raise semantics.
+        """Execute a plan with the raise semantics of one search per query.
 
-        The serial loop raises at the *first* offending occurrence in
+        A per-query loop would raise at the *first* offending occurrence in
         submission order; with plan-time classification that query is known
         before anything executes, so the same exception is raised up front
         (re-running the single-query path for a "no community" raise, so

@@ -11,7 +11,7 @@ to lift that shared work to the *group*: decide once per batch what work is
 shared, then execute each unit of shared work exactly once.
 
 This module makes that decision an explicit, inspectable object — a
-:class:`BatchPlan` — produced by :func:`plan_batch` in three resolutions:
+:class:`BatchPlan` — produced by :func:`plan_batch` in two resolutions:
 
 1. **classify** every occurrence (unknown vertex -> error, outside every
    k-ĉore -> failed, otherwise eligible) and **dedupe** repeated query
@@ -19,10 +19,11 @@ This module makes that decision an explicit, inspectable object — a
 2. **group** the distinct eligible queries by their k-ĉore component,
    stamping each group with the component's representative and artifact
    version — the stable keys the cache, shared-memory, and snapshot layers
-   already share;
-3. **prune** cache hits group-at-a-time through
-   :meth:`repro.service.AnswerCache.lookup_group`, so a fully warmed batch
-   never touches the executor at all.
+   already share.
+
+A caller holding an answer cache then prunes each group's cache hits with
+:func:`resolve_cached` once it knows the algorithm the group runs at, so a
+fully warmed batch never touches the executor at all.
 
 :func:`execute_group` then answers one group's surviving queries with the
 component's artifacts fetched **once** and the query-to-candidate distance
@@ -34,13 +35,13 @@ serial path.  ``tests/test_plan.py`` holds every execution surface to that.
 The planner is deliberately engine-agnostic plumbing: it needs only the
 ``component_labels`` / ``component_representative`` / ``component_version``
 / ``component_artifacts`` surface of :class:`repro.engine.QueryEngine`, and
-never imports the service layer (the cache is duck-typed through the
-optional ``cache`` argument), so ``engine -> plan`` stays a leaf edge in the
-import graph.
+never imports the service layer, so ``engine -> plan`` stays a leaf edge in
+the import graph.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -129,7 +130,8 @@ class BatchPlan:
         The :class:`PlanGroup` list, ascending by component id — the order
         the serial executor visits them.
     cached:
-        Query vertex -> answer resolved from the answer cache at plan time.
+        Query vertex -> answer resolved from the answer cache
+        (:func:`resolve_cached`) before execution.
     failed:
         Queries outside every k-ĉore, one entry per occurrence, in
         submission order (the legacy ``BatchResult.failed`` contract).
@@ -178,17 +180,14 @@ def plan_batch(
     *,
     algorithm: str = "appfast",
     params: Optional[Dict[str, float]] = None,
-    cache=None,
 ) -> BatchPlan:
     """Resolve a batch into a :class:`BatchPlan`.
 
     Validates ``algorithm`` and ``k`` up front (raising
-    :class:`InvalidParameterError` exactly as the per-query path would),
-    classifies every occurrence, groups the distinct eligible queries by
-    k-ĉore component, and — when an :class:`repro.service.AnswerCache` is
-    supplied — prunes cache hits per group through its group-level lookup.
-    Planning mutates nothing: executing the plan (or dropping it) is the
-    caller's move.
+    :class:`InvalidParameterError` exactly as a single search would),
+    classifies every occurrence, and groups the distinct eligible queries by
+    k-ĉore component.  Planning mutates nothing but the engine's planning
+    counters: executing the plan (or dropping it) is the caller's move.
     """
     if algorithm not in ALGORITHMS:
         raise InvalidParameterError(
@@ -205,11 +204,9 @@ def plan_batch(
     # already-seen vertex landed in decides what its duplicates cost.
     eligible: set = set()
     failed: set = set()
-    occurrences: Dict[int, int] = {}
     for query in queries:
         query = int(query)
         plan.order.append(query)
-        occurrences[query] = occurrences.get(query, 0) + 1
         if query in eligible:
             plan.deduped += 1
             continue
@@ -240,25 +237,6 @@ def plan_batch(
             groups[component] = group
         group.queries.append(query)
 
-    if cache is not None:
-        for group in groups.values():
-            hits, misses = cache.lookup_group(
-                engine,
-                group.queries,
-                k,
-                algorithm,
-                params,
-                representative=group.representative,
-                version=group.version,
-            )
-            if hits:
-                plan.cached.update(hits)
-                plan.cache_hits += sum(occurrences[query] for query in hits)
-                # Duplicates of a cache hit were provisionally counted as
-                # deduped above; they are cache hits, as before planning.
-                plan.deduped -= sum(occurrences[query] - 1 for query in hits)
-                group.queries = list(misses)
-
     plan.groups = [groups[component] for component in sorted(groups) if groups[component].queries]
 
     stats = getattr(engine, "stats", None)
@@ -268,6 +246,36 @@ def plan_batch(
         stats.queries_deduped += plan.deduped
     plan.planning_seconds = perf_counter() - start
     return plan
+
+
+def resolve_cached(
+    engine,
+    plan: BatchPlan,
+    group: PlanGroup,
+    hits: Dict[int, SACResult],
+    misses: Sequence[int],
+) -> None:
+    """Answer ``group``'s cache ``hits`` at plan level; the group keeps ``misses``.
+
+    The answers move to ``plan.cached``, and every occurrence of a hit
+    counts as a cache hit rather than a dedupe — in the plan and in the
+    engine's planning counters alike, where a group left with no misses
+    also stops counting as a plan group.  The caller drops emptied groups
+    from ``plan.groups`` before executing the plan.
+    """
+    group.queries = list(misses)
+    if not hits:
+        return
+    occurrences = Counter(plan.order)
+    duplicates = sum(occurrences[query] - 1 for query in hits)
+    plan.cached.update(hits)
+    plan.cache_hits += sum(occurrences[query] for query in hits)
+    plan.deduped -= duplicates
+    stats = getattr(engine, "stats", None)
+    if stats is not None:
+        stats.queries_deduped -= duplicates
+        if not group.queries:
+            stats.plan_groups -= 1
 
 
 def _group_distances(coords: np.ndarray, query_coords: np.ndarray) -> np.ndarray:

@@ -61,11 +61,6 @@ class BatchSACProcessor:
         Keep a :class:`repro.service.AnswerCache` across batches on this
         processor.  Off by default: the processor historically recomputed
         repeat queries, and some callers time exactly that.
-    use_plan:
-        Resolve each batch through the factorised
-        :class:`repro.engine.plan.BatchPlan` pipeline (the default);
-        ``False`` (the CLI's ``--no-plan``) restores the per-query path.
-        Answers are bit-identical either way.
     """
 
     def __init__(
@@ -78,7 +73,6 @@ class BatchSACProcessor:
         engine: Optional[QueryEngine] = None,
         workers: Optional[int] = None,
         use_cache: bool = False,
-        use_plan: bool = True,
     ) -> None:
         if algorithm not in ALGORITHMS:
             raise InvalidParameterError(
@@ -93,9 +87,7 @@ class BatchSACProcessor:
         self.algorithm = algorithm
         self.algorithm_params = dict(algorithm_params or {})
         self.engine = engine if engine is not None else QueryEngine(graph)
-        self.service = SACService(
-            engine=self.engine, workers=workers, use_cache=use_cache, use_plan=use_plan
-        )
+        self.service = SACService(engine=self.engine, workers=workers, use_cache=use_cache)
 
     # ---------------------------------------------------------------- queries
     def eligible_queries(self, queries: Iterable[int]) -> List[int]:

@@ -1469,7 +1469,6 @@ class SACServer:
             },
             "batcher": asdict(self.batcher_stats),
             "plan": {
-                "enabled": self.service.use_plan,
                 "batches_planned": engine_stats.batches_planned,
                 "groups": engine_stats.plan_groups,
                 "queries_deduped": engine_stats.queries_deduped,

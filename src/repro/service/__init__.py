@@ -7,8 +7,7 @@ Serving heavy SAC traffic over one graph stacks three reuse levels:
 2. the **sharded executor** (:class:`ShardedExecutor`) runs a batch's
    k-ĉore-component shards on a process pool, publishing each component's
    artifacts once into a shared-memory segment that workers attach
-   zero-copy (per-batch messages carry query ids only; a pickle-per-batch
-   fallback survives for platforms without shared memory);
+   zero-copy (per-batch messages carry query ids only);
 3. the **answer cache** (:class:`AnswerCache`) shares finished answers
    across batches, invalidated per component by the engine's version
    counters so dynamic updates evict only what they touched.
@@ -43,7 +42,6 @@ from repro.service.results import BatchResult
 from repro.service.sharding import (
     ExecutorStats,
     ShardedExecutor,
-    ShardPayload,
     ShardTask,
 )
 from repro.service.slo import (
@@ -81,7 +79,6 @@ __all__ = [
     "RungCoefficients",
     "SACService",
     "ServiceStats",
-    "ShardPayload",
     "ShardTask",
     "ShardedExecutor",
     "SloStats",

@@ -22,19 +22,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.core.result import SACResult
 from repro.core.searcher import ALGORITHMS
 from repro.engine import EngineStats, IncrementalEngine, QueryEngine
-from repro.engine.plan import execute_group, plan_batch
+from repro.engine.plan import (
+    BatchPlan,
+    PlanGroup,
+    execute_group,
+    plan_batch,
+    resolve_cached,
+)
 from repro.exceptions import InvalidParameterError
 from repro.graph.spatial_graph import SpatialGraph
 from repro.service.cache import AnswerCache, CacheStats
 from repro.service.results import BatchResult
-from repro.service.sharding import ExecutorStats, ShardedExecutor, default_pool_factory
+from repro.service.sharding import ExecutorStats, ShardedExecutor
 from repro.service.slo import (
     CostModel,
     SloStats,
@@ -73,18 +79,6 @@ class SACService:
     use_cache / cache_capacity:
         Whether to keep an :class:`~repro.service.cache.AnswerCache`, and its
         LRU capacity.
-    use_shared_memory:
-        Forwarded to :class:`~repro.service.sharding.ShardedExecutor`:
-        publish shard artifacts once into shared-memory segments (default)
-        instead of re-pickling them every batch.
-    use_plan:
-        Resolve each batch into a :class:`repro.engine.plan.BatchPlan`
-        before executing (the default): duplicates answered once, cache
-        lookups and fills done group-at-a-time, the serial path factorised
-        per component.  ``False`` (the CLI's ``--no-plan``) restores the
-        pre-plan per-query pipeline; answers are bit-identical either way.
-    pool_factory:
-        Forwarded to :class:`~repro.service.sharding.ShardedExecutor`.
     clock:
         Monotonic time source (seconds) for every elapsed-time and deadline
         measurement — batch timings, SLO budgets, late flags; defaults to
@@ -109,27 +103,17 @@ class SACService:
         workers: Optional[int] = None,
         use_cache: bool = True,
         cache_capacity: int = 4096,
-        use_shared_memory: bool = True,
-        use_plan: bool = True,
-        pool_factory: Callable[[int], object] = default_pool_factory,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if (graph is None) == (engine is None):
             raise InvalidParameterError("pass exactly one of graph or engine")
         self.engine = engine if engine is not None else QueryEngine(graph)
-        self.use_plan = bool(use_plan)
         self._clock: Callable[[], float] = clock or perf_counter
         #: Path of the snapshot this service was opened from (set by
         #: :meth:`open`, ``None`` otherwise) — the replication tier resyncs
         #: a lagging replica by reopening it.
         self.store_path: Optional[str] = None
-        self.executor = ShardedExecutor(
-            self.engine,
-            workers=workers,
-            use_shared_memory=use_shared_memory,
-            use_plan=use_plan,
-            pool_factory=pool_factory,
-        )
+        self.executor = ShardedExecutor(self.engine, workers=workers)
         self.cache: Optional[AnswerCache] = (
             AnswerCache(cache_capacity) if use_cache else None
         )
@@ -177,9 +161,6 @@ class SACService:
         workers: Optional[int] = None,
         use_cache: bool = True,
         cache_capacity: int = 4096,
-        use_shared_memory: bool = True,
-        use_plan: bool = True,
-        pool_factory: Callable[[int], object] = default_pool_factory,
         clock: Optional[Callable[[], float]] = None,
         max_resident_bytes: Optional[int] = None,
     ) -> "SACService":
@@ -202,9 +183,6 @@ class SACService:
             workers=workers,
             use_cache=use_cache,
             cache_capacity=cache_capacity,
-            use_shared_memory=use_shared_memory,
-            use_plan=use_plan,
-            pool_factory=pool_factory,
             clock=clock,
         )
         service.store_path = str(path)
@@ -250,8 +228,8 @@ class SACService:
         ``algorithm`` attribute records the rung that answered.
         """
         if deadline_ms is not None:
-            batch = self._submit_batch_slo(
-                [query], k, algorithm, dict(params), float(deadline_ms)
+            batch = self.submit_batch(
+                [query], k, algorithm=algorithm, deadline_ms=deadline_ms, **params
             )
             query = int(query)
             if query in batch.results:
@@ -277,18 +255,19 @@ class SACService:
         deadline_ms: Optional[float] = None,
         **params: float,
     ) -> BatchResult:
-        """Answer a batch: cache hits first, the rest sharded to the executor.
+        """Answer a batch through the one plan-driven pipeline.
 
-        Cache hits are merged with the executor's freshly computed answers
-        (which are stored back into the cache) into one
-        :class:`BatchResult`; ``cache_hits`` counts the queries that never
-        reached the executor.
+        The batch is planned once (:func:`repro.engine.plan.plan_batch`):
+        duplicates resolve to one computation, and the distinct queries
+        group by k-ĉore component.  Each group then gets its algorithm, has
+        its cache hits pruned by a group-level lookup at that algorithm,
+        executes, and has its fresh answers stored back group-at-a-time;
+        ``cache_hits`` counts the occurrences that never reached execution.
 
-        With ``use_plan`` (the default) the whole pipeline is driven by one
-        :class:`repro.engine.plan.BatchPlan`: duplicates and cache hits are
-        resolved at plan time (group-level lookups), the executor runs only
-        the surviving groups, and freshly computed answers are stored back
-        group-at-a-time.
+        Without ``deadline_ms`` every group runs at ``algorithm`` (a one-rung
+        ladder), and the groups left with misses go to the
+        :class:`~repro.service.sharding.ShardedExecutor` in one call, so the
+        process pool keeps whole-batch dispatch.
 
         With ``deadline_ms`` set, the batch runs in **SLO mode**:
         ``algorithm`` becomes the quality *ceiling* and each plan group is
@@ -298,166 +277,126 @@ class SACService:
         returned batch records per answer which rung ran
         (:attr:`BatchResult.algorithm_used`) and which answers landed after
         the deadline (:attr:`BatchResult.deadline_missed`).
-        ``deadline_ms=None`` (the default) leaves this path entirely — the
-        explicit-algorithm pipeline is untouched and bit-identical to
-        before.
         """
         if algorithm not in ALGORITHMS:
             raise InvalidParameterError(
                 f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
             )
         if deadline_ms is not None:
-            return self._submit_batch_slo(
-                queries, k, algorithm, dict(params), float(deadline_ms)
-            )
-        if self.use_plan:
-            return self._submit_batch_planned(queries, k, algorithm, params)
-        if self.cache is None:
-            return self.executor.run(queries, k, algorithm=algorithm, **params)
-
+            # Warm-up calibration is a one-time cost of the service, not of
+            # the request that happened to arrive first — fit before the
+            # clock starts.
+            self.calibrate_slo(k)
         start = self._clock()
-        hits: Dict[int, SACResult] = {}
-        misses: List[int] = []
-        hit_count = 0
-        for query in queries:
-            query = int(query)
-            if query in hits:
-                hit_count += 1
-                continue
-            cached = self.cache.lookup(self.engine, query, k, algorithm, params)
-            if cached is not None:
-                hits[query] = cached
-                hit_count += 1
-            else:
-                misses.append(query)
-
-        if misses:
-            batch = self.executor.run(misses, k, algorithm=algorithm, **params)
-            for query, result in batch.results.items():
-                self.cache.store(self.engine, query, k, algorithm, params, result)
-        else:
-            # Fully cache-served round: nothing to shard, nothing to execute.
-            batch = BatchResult()
-        batch.results.update(hits)
-        batch.cache_hits = hit_count
-        batch.elapsed_seconds = self._clock() - start
-        return batch
-
-    def _submit_batch_planned(
-        self,
-        queries: Sequence[int],
-        k: int,
-        algorithm: str,
-        params: Dict[str, float],
-    ) -> BatchResult:
-        """The plan-driven batch pipeline: plan -> execute groups -> fill cache."""
-        start = self._clock()
-        plan = plan_batch(
-            self.engine, queries, k, algorithm=algorithm, params=params, cache=self.cache
-        )
-        batch = self.executor.run_plan(plan)
-        if self.cache is not None:
+        plan = plan_batch(self.engine, queries, k, algorithm=algorithm, params=params)
+        if deadline_ms is None:
             for group in plan.groups:
-                computed = {
-                    query: batch.results[query]
-                    for query in group.queries
-                    if query in batch.results
-                }
-                if computed:
-                    self.cache.store_group(
-                        self.engine,
-                        computed,
-                        k,
-                        algorithm,
-                        params,
-                        representative=group.representative,
-                        version=group.version,
-                    )
+                self._lookup_group(plan, group)
+            plan.groups = [group for group in plan.groups if group.queries]
+            batch = self.executor.run_plan(plan)
+            for group in plan.groups:
+                self._store_group(plan, group, batch.results)
+        else:
+            batch = self._run_under_deadline(plan, max(0.0, float(deadline_ms)), start)
         batch.elapsed_seconds = self._clock() - start
         return batch
 
-    def _submit_batch_slo(
-        self,
-        queries: Sequence[int],
-        k: int,
-        ceiling: str,
-        params: Dict[str, float],
-        deadline_ms: float,
-    ) -> BatchResult:
-        """The deadline-driven batch pipeline: plan, pick rungs, execute, flag.
-
-        Plans the batch once (no plan-time cache pruning — rung choice owns
-        the cache), then walks the groups largest-first; before each group
-        the remaining budget is re-measured and :func:`select_rung` picks
-        the best rung whose predicted cost fits it, probing the answer cache
-        per candidate rung (a rung whose answers are all cached is free).
-        Groups execute serially on the engine — deadline work wants the
-        predictable single-thread latency the cost model was calibrated on,
-        not pool dispatch jitter.  Observed group latencies feed back into
-        the model, and any answer completed after the deadline is flagged in
-        ``deadline_missed`` — late answers are delivered, never dropped, so
-        a mispredicting (even adversarially lying) model degrades to
-        honest flags rather than hangs.
-        """
-        # Warm-up calibration is a one-time cost of the service, not of the
-        # request that happened to arrive first — fit before the clock starts.
-        self.calibrate_slo(k)
-        start = self._clock()
-        deadline_ms = max(0.0, float(deadline_ms))
-        plan = plan_batch(
-            self.engine, queries, k, algorithm=ceiling, params=params, cache=None
+    def _lookup_group(self, plan: BatchPlan, group: PlanGroup) -> None:
+        """Prune ``group``'s cached answers at the algorithm it runs under."""
+        if self.cache is None:
+            return
+        hits, misses = self.cache.lookup_group(
+            self.engine,
+            group.queries,
+            plan.k,
+            group.effective_algorithm(plan),
+            group.effective_params(plan),
+            representative=group.representative,
+            version=group.version,
         )
-        occurrences: Dict[int, int] = {}
-        for query in plan.order:
-            occurrences[query] = occurrences.get(query, 0) + 1
+        resolve_cached(self.engine, plan, group, hits, misses)
 
-        batch = BatchResult()
-        batch.deadline_ms = deadline_ms
-        batch.failed = list(plan.failed)
-        batch.errors = plan.error_messages()
-        batch.deduped = plan.deduped
-        batch.plan_groups = len(plan.groups)
+    def _store_group(
+        self, plan: BatchPlan, group: PlanGroup, results: Dict[int, SACResult]
+    ) -> None:
+        """Cache the answers ``results`` holds for ``group``'s queries."""
+        if self.cache is None:
+            return
+        computed = {query: results[query] for query in group.queries if query in results}
+        if computed:
+            self.cache.store_group(
+                self.engine,
+                computed,
+                plan.k,
+                group.effective_algorithm(plan),
+                group.effective_params(plan),
+                representative=group.representative,
+                version=group.version,
+            )
+
+    def _run_under_deadline(
+        self, plan: BatchPlan, deadline_ms: float, start: float
+    ) -> BatchResult:
+        """Answer ``plan`` group by group at the rungs the deadline affords.
+
+        Walks the groups largest-first; before each group the remaining
+        budget is re-measured and :func:`select_rung` picks the best rung
+        whose predicted cost fits it, probing the answer cache per candidate
+        rung (a rung whose answers are all cached is free).  Groups execute
+        one at a time on the engine — each rung depends on the budget the
+        previous groups left, and deadline work wants the predictable
+        single-thread latency the cost model was calibrated on, not pool
+        dispatch jitter.  Observed group latencies feed back into the model,
+        and any answer completed after the deadline is flagged in
+        ``deadline_missed`` — late answers are delivered, never dropped, so
+        a mispredicting (even adversarially lying) model degrades to honest
+        flags rather than hangs.
+        """
+        k, ceiling = plan.k, plan.algorithm
+        batch = BatchResult(
+            failed=list(plan.failed),
+            errors=plan.error_messages(),
+            shared_preprocessing_seconds=plan.planning_seconds,
+            deadline_ms=deadline_ms,
+        )
         self.slo_stats.batches += 1
         self.slo_stats.queries += len(plan.order)
+
+        def elapsed_ms() -> float:
+            return (self._clock() - start) * 1000.0
 
         # Largest components first: they dominate the budget, so deciding
         # them while the most budget remains gives the ladder room to trade
         # their quality for everyone's deadline.
         groups = sorted(
-            plan.groups,
-            key=lambda group: -self.engine.component_size(k, group.component),
+            plan.groups, key=lambda group: -self.engine.component_size(k, group.component)
         )
+        plan.groups = []
         for group in groups:
             size = self.engine.component_size(k, group.component)
             resident = self.engine.bundle_resident(k, group.representative)
-            remaining = deadline_ms - (self._clock() - start) * 1000.0
-
-            ladder_pending: Dict[str, int] = {}
-            for rung in ladder_from(ceiling):
-                rung_params = params_for(rung, params)
-                if self.cache is not None and k != 1:
-                    misses = self.cache.peek_group(
-                        self.engine,
-                        group.queries,
-                        k,
-                        rung,
-                        rung_params,
-                        representative=group.representative,
-                        version=group.version,
+            pending = {rung: len(group.queries) for rung in ladder_from(ceiling)}
+            if self.cache is not None:
+                for rung in pending:
+                    pending[rung] = len(
+                        self.cache.peek_group(
+                            self.engine,
+                            group.queries,
+                            k,
+                            rung,
+                            params_for(rung, plan.params),
+                            representative=group.representative,
+                            version=group.version,
+                        )
                     )
-                    ladder_pending[rung] = len(misses)
-                else:
-                    ladder_pending[rung] = len(group.queries)
-
             choice = select_rung(
                 self.slo_model,
-                remaining,
+                deadline_ms - elapsed_ms(),
                 size=size,
                 resident=resident,
-                pending=ladder_pending,
+                pending=pending,
                 ceiling=ceiling,
             )
-            rung_params = params_for(choice.algorithm, params)
             self.slo_stats.groups += 1
             self.slo_stats.rungs[choice.algorithm] = (
                 self.slo_stats.rungs.get(choice.algorithm, 0) + 1
@@ -467,71 +406,37 @@ class SACService:
             if not choice.fits:
                 self.slo_stats.overloads += 1
 
-            # Real cache lookup at the chosen rung only.
-            to_compute = list(group.queries)
-            if self.cache is not None:
-                hits, to_compute = self.cache.lookup_group(
-                    self.engine,
-                    group.queries,
-                    k,
-                    choice.algorithm,
-                    rung_params,
-                    representative=group.representative,
-                    version=group.version,
-                )
-                if hits:
-                    batch.results.update(hits)
-                    batch.cache_hits += sum(
-                        occurrences.get(query, 1) for query in hits
-                    )
-                    batch.deduped -= sum(
-                        occurrences.get(query, 1) - 1 for query in hits
-                    )
+            group.algorithm = choice.algorithm
+            group.params = params_for(choice.algorithm, plan.params)
+            self._lookup_group(plan, group)
+            if not group.queries:
+                continue
+            plan.groups.append(group)
+            group_start = self._clock()
+            computed = execute_group(
+                self.engine, plan, group, errors=batch.errors, failed=batch.failed
+            )
+            self.slo_model.observe(
+                choice.algorithm,
+                size,
+                queries=len(group.queries),
+                elapsed_ms=(self._clock() - group_start) * 1000.0,
+                resident=resident,
+            )
+            batch.results.update(computed)
+            self._store_group(plan, group, computed)
+            batch.deadline_missed.update(dict.fromkeys(computed, elapsed_ms() > deadline_ms))
 
-            computed: Dict[int, SACResult] = {}
-            if to_compute:
-                group.algorithm = choice.algorithm
-                group.params = rung_params
-                group.queries = to_compute
-                group_start = self._clock()
-                computed = execute_group(
-                    self.engine, plan, group, errors=batch.errors, failed=batch.failed
-                )
-                group_ms = (self._clock() - group_start) * 1000.0
-                self.slo_model.observe(
-                    choice.algorithm,
-                    size,
-                    queries=len(to_compute),
-                    elapsed_ms=group_ms,
-                    resident=resident,
-                )
-                batch.results.update(computed)
-                if self.cache is not None and computed:
-                    self.cache.store_group(
-                        self.engine,
-                        computed,
-                        k,
-                        choice.algorithm,
-                        rung_params,
-                        representative=group.representative,
-                        version=group.version,
-                    )
-
-            late = (self._clock() - start) * 1000.0 > deadline_ms
-            for query in computed:
-                batch.deadline_missed[query] = late
-                if late:
-                    self.slo_stats.deadline_missed += 1
-
+        batch.results.update(plan.cached)
+        batch.cache_hits = plan.cache_hits
+        batch.deduped = plan.deduped
+        batch.plan_groups = len(plan.groups)
         # Cache hits and plan-time outcomes resolved before any execution
         # are late only if the deadline was blown overall.
-        late = (self._clock() - start) * 1000.0 > deadline_ms
+        late = elapsed_ms() > deadline_ms
         for query in batch.results:
-            if query not in batch.deadline_missed:
-                batch.deadline_missed[query] = late
-                if late:
-                    self.slo_stats.deadline_missed += 1
-        batch.elapsed_seconds = self._clock() - start
+            batch.deadline_missed.setdefault(query, late)
+        self.slo_stats.deadline_missed += sum(batch.deadline_missed.values())
         return batch
 
     # ------------------------------------------------------------- mutation

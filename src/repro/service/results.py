@@ -44,10 +44,10 @@ class BatchResult:
     deduped:
         Occurrences answered by fanning out another occurrence's result —
         duplicate ``(query, k, algorithm, params)`` entries the batch plan
-        resolved without recomputing (0 on the ``--no-plan`` path).
+        resolved without recomputing.
     plan_groups:
         ``(component, k)`` execution groups the batch plan produced after
-        cache-hit pruning (0 on the ``--no-plan`` path).
+        cache-hit pruning.
     deadline_ms:
         The deadline budget the batch ran under, or ``None`` when it ran on
         the explicit-algorithm path (no SLO ladder engaged).

@@ -4,18 +4,18 @@ A batch of SAC queries at one degree threshold ``k`` decomposes naturally
 along the k-ĉore components the engine already labels: two queries in
 different components share *no* state beyond the labelling itself — not the
 candidate set, not the grid index, not the local CSR.  That makes the
-component the unit of parallelism: :class:`ShardedExecutor` groups the batch
-by component, publishes each component's cached artifacts **once** into a
+component the unit of parallelism: :class:`ShardedExecutor` runs a batch's
+:class:`repro.engine.plan.BatchPlan` groups as shards, publishes each
+component's cached artifacts **once** into a
 :class:`repro.store.SharedArrayPack` shared-memory segment, ships workers a
 small :class:`ShardTask` (query ids plus the segment's name and layout), and
 merges the answers.  Workers attach the segment zero-copy and cache the
 reconstructed component graph across batches, so after the first batch the
-per-batch dispatch cost is a few hundred bytes of task message per shard —
-not the megabytes of arrays the original pickle protocol re-serialised every
-round (``ExecutorStats`` counts both, so the gap is measurable from
-:meth:`repro.service.SACService.stats`).  When a batch has fewer components
-than workers, large components are split into query chunks that reference
-the same segment, so the whole pool participates without duplicating data.
+per-batch dispatch cost is a few hundred bytes of task message per shard
+(``ExecutorStats.bytes_dispatched`` against the once-only
+``bytes_shared``).  When a batch has fewer components than workers, large
+components are split into query chunks that reference the same segment, so
+the whole pool participates without duplicating data.
 
 Workers never see the full graph.  A segment carries the component's member
 array, coordinate matrix, component-local CSR (both index dtypes), and the
@@ -29,12 +29,10 @@ path: same member sets, same circle coordinates, same stats.
 ``tests/test_differential.py`` and ``tests/test_store.py`` hold the paths to
 exactly that.
 
-Degradation is graceful at two levels: a shared-memory failure (segment
-creation refused, attach failure) falls back to the original
-pickle-every-batch :class:`ShardPayload` protocol
-(``ExecutorStats.shm_fallbacks``), and any failure of the parallel machinery
-itself — a worker killed mid-shard, a broken pool — degrades the whole
-batch to the serial engine path (``ExecutorStats.serial_fallbacks``).
+Degradation is graceful: any failure of the parallel machinery — a segment
+the platform refuses to create, a worker killed mid-shard, a broken pool —
+degrades the whole batch to the serial factorised path
+(``ExecutorStats.serial_fallbacks``).
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import pickle
 import weakref
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -54,42 +52,26 @@ from repro.core.base import CandidateArtifacts, QueryContext
 from repro.core.result import SACResult
 from repro.core.searcher import ALGORITHMS
 from repro.engine import QueryEngine
-from repro.engine.plan import BatchPlan, execute_group, plan_batch
-from repro.exceptions import InvalidParameterError, NoCommunityError, ReproError
+from repro.engine.plan import BatchPlan, PlanGroup, execute_group, plan_batch
+from repro.exceptions import InvalidParameterError, ReproError
 from repro.geometry.grid import GridIndex
 from repro.graph.spatial_graph import SpatialGraph
 from repro.service.results import BatchResult
 from repro.store.sharedmem import SharedArrayPack
 
-
-@dataclass
-class ShardPayload:
-    """Everything one worker needs to answer one component's queries.
-
-    The original (pickle) dispatch protocol, kept as the fallback when
-    shared memory is unavailable: the arrays are the component's cached
-    artifacts (member ids ascending, their coordinates, and the
-    component-local CSR adjacency), re-serialised to the pool once per shard
-    per batch.
-    """
-
-    k: int
-    algorithm: str
-    params: Dict[str, float]
-    members: np.ndarray
-    coords: np.ndarray
-    local_indptr: np.ndarray
-    local_indices: np.ndarray
-    queries: List[int]
+#: Smallest batch (distinct planned queries) worth paying pool dispatch for;
+#: smaller batches run serially.
+MIN_PARALLEL_QUERIES = 2
 
 
 @dataclass
 class ShardTask:
     """The small per-batch worker message of the shared-memory protocol.
 
-    Carries only the query ids and the segment reference (name + per-array
-    layout + grid geometry); the component arrays themselves live in the
-    shared segment and never cross the pipe.
+    Carries only the query ids, the search arguments of the shard's plan
+    group, and the segment reference (name + per-array layout + grid
+    geometry); the component arrays themselves live in the shared segment
+    and never cross the pipe.
     """
 
     k: int
@@ -109,16 +91,12 @@ class ExecutorStats:
         Batches executed through the process pool vs. entirely on the serial
         engine path (small batches, ``workers <= 1``, or after a fallback).
     shards_executed:
-        Component shards shipped to workers across all parallel batches
-        (either protocol).
+        Component shards shipped to workers across all parallel batches.
     queries_parallel / queries_serial:
         Queries answered on each path.
     serial_fallbacks:
-        Parallel batches that degraded to the serial path after a pool or
-        worker failure.
-    shm_fallbacks:
-        Parallel batches that fell back from the shared-memory protocol to
-        the pickle protocol.
+        Parallel batches that degraded to the serial path after a segment,
+        pool, or worker failure.
     segments_created / segments_reused:
         Shared-memory segments materialised, and shards that reused a
         previously materialised segment (the reuse is where the per-batch
@@ -127,18 +105,13 @@ class ExecutorStats:
         Bytes written into shared-memory segments, counted **once** at
         segment creation.
     bytes_dispatched:
-        Pickled size of the per-batch :class:`ShardTask` messages on the
-        shared-memory path — the entire per-batch dispatch cost once
-        segments exist.  Accounted as the cached pickled size of each
-        segment spec plus the pickled per-batch remainder (k, algorithm,
-        params, queries), so tasks are never re-serialised just for the
-        counter.
-    bytes_pickled:
-        Array bytes serialised per batch by the fallback pickle protocol
-        (the :class:`ShardPayload` arrays; framing overhead excluded).
-        Comparing this against ``bytes_dispatched`` for the same workload is
-        the dispatch-cost claim ``benchmarks/bench_store_warmstart.py``
-        measures.
+        Pickled size of the per-batch :class:`ShardTask` messages — the
+        entire per-batch dispatch cost once segments exist.  Accounted as
+        the cached pickled size of each segment spec plus the pickled
+        per-batch remainder (k, algorithm, params, queries), so tasks are
+        never re-serialised just for the counter.
+        ``benchmarks/bench_store_warmstart.py`` reports it against
+        ``bytes_shared``.
     """
 
     batches_parallel: int = 0
@@ -147,12 +120,10 @@ class ExecutorStats:
     queries_parallel: int = 0
     queries_serial: int = 0
     serial_fallbacks: int = 0
-    shm_fallbacks: int = 0
     segments_created: int = 0
     segments_reused: int = 0
     bytes_shared: int = 0
     bytes_dispatched: int = 0
-    bytes_pickled: int = 0
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -160,9 +131,8 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 
     ``fork`` shares the parent's memory copy-on-write, so worker start-up
     does not re-import the library; platforms without it (Windows, and
-    macOS's default) fall back to their default start method, for which both
-    dispatch protocols work equally — workers import :mod:`repro` and attach
-    segments (or receive pickled payloads) by name.
+    macOS's default) fall back to their default start method — workers then
+    import :mod:`repro` and attach segments by name.
     """
     try:
         return multiprocessing.get_context("fork")
@@ -181,35 +151,6 @@ def default_pool_factory(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
 
 
-def _shard_graph(payload: ShardPayload) -> SpatialGraph:
-    """Reconstruct the component-local graph a worker answers queries on.
-
-    Vertices are the component members relabelled to ``0..n-1`` (ascending
-    global id, so the relabelling is monotone); labels carry the global ids.
-    The payload's CSR becomes the graph's CSR view directly.
-    """
-    return SpatialGraph.from_csr(
-        payload.local_indptr,
-        payload.local_indices,
-        payload.coords,
-        payload.members.tolist(),
-    )
-
-def _shard_artifacts(payload: ShardPayload) -> CandidateArtifacts:
-    """Rebuild the component's candidate artifacts in local-id space."""
-    size = payload.members.size
-    local_ids = np.arange(size, dtype=np.int64)
-    return CandidateArtifacts(
-        candidates=frozenset(range(size)),
-        candidate_list=list(range(size)),
-        candidate_array=local_ids,
-        candidate_coords=payload.coords,
-        grid=GridIndex(payload.coords),
-        local_indptr=payload.local_indptr,
-        local_indices=payload.local_indices,
-    )
-
-
 def _globalise(result: SACResult, query: int, members: np.ndarray) -> SACResult:
     """Map a worker's local-id result back into global vertex ids.
 
@@ -223,50 +164,6 @@ def _globalise(result: SACResult, query: int, members: np.ndarray) -> SACResult:
         members=frozenset(int(members[v]) for v in result.members),
         circle=result.circle,
         stats=dict(result.stats),
-    )
-
-
-def _answer_queries(
-    graph: SpatialGraph,
-    artifacts: CandidateArtifacts,
-    members: np.ndarray,
-    k: int,
-    algorithm: str,
-    params: Dict[str, float],
-    queries: Sequence[int],
-) -> List[Tuple[int, SACResult]]:
-    """Answer one shard's queries on a reconstructed component graph.
-
-    Shared by both worker protocols, so their per-query arithmetic — and
-    therefore their answers — cannot drift apart.
-    """
-    run = ALGORITHMS[algorithm]
-    answers: List[Tuple[int, SACResult]] = []
-    for query in queries:
-        local = int(np.searchsorted(members, query))
-        if k == 1:
-            # The algorithms answer k=1 with the nearest-neighbour shortcut
-            # before touching any context, mirroring QueryEngine.search.
-            result = run(graph, local, k, **params)
-        else:
-            context = QueryContext(graph, local, k, artifacts=artifacts)
-            result = run(graph, local, k, context=context, **params)
-        answers.append((query, _globalise(result, query, members)))
-    return answers
-
-
-def _run_shard(payload: ShardPayload) -> List[Tuple[int, SACResult]]:
-    """Pickle-protocol worker entry point: rebuild, answer, return.
-
-    Runs in a pool process.  The component graph and artifacts are rebuilt
-    from the pickled arrays once per shard, then each query pays only its
-    distance vector plus the algorithm's own search.
-    """
-    graph = _shard_graph(payload)
-    artifacts = _shard_artifacts(payload)
-    return _answer_queries(
-        graph, artifacts, payload.members,
-        payload.k, payload.algorithm, payload.params, payload.queries,
     )
 
 
@@ -332,21 +229,20 @@ def _attach_segment(
 
 
 def _run_shard_task(task: ShardTask) -> List[Tuple[int, SACResult]]:
-    """Shared-memory-protocol worker entry point: attach, answer, return."""
+    """Worker entry point: attach the segment, answer the shard, return.
+
+    Each query pays only its distance vector plus the algorithm's own
+    search; the component graph and artifacts come from the segment cache.
+    """
     _pack, graph, artifacts, members = _attach_segment(task.segment)
-    return _answer_queries(
-        graph, artifacts, members, task.k, task.algorithm, task.params, task.queries
-    )
-
-
-def _payload_array_bytes(payload: ShardPayload) -> int:
-    """Array bytes one pickled :class:`ShardPayload` serialises to the pool."""
-    return int(
-        payload.members.nbytes
-        + payload.coords.nbytes
-        + payload.local_indptr.nbytes
-        + payload.local_indices.nbytes
-    )
+    run = ALGORITHMS[task.algorithm]
+    answers: List[Tuple[int, SACResult]] = []
+    for query in task.queries:
+        local = int(np.searchsorted(members, query))
+        context = QueryContext(graph, local, task.k, artifacts=artifacts)
+        result = run(graph, local, task.k, context=context, **task.params)
+        answers.append((query, _globalise(result, query, members)))
+    return answers
 
 
 class ShardedExecutor:
@@ -361,28 +257,7 @@ class ShardedExecutor:
         batch serially when parallel execution is unavailable.
     workers:
         Process-pool size.  ``None`` or values below 2 disable the pool and
-        run every batch on the serial engine path.
-    min_parallel_queries:
-        Smallest batch worth paying pool start-up for; smaller batches run
-        serially.
-    use_shared_memory:
-        Publish component artifacts once into shared-memory segments and
-        ship per-batch query ids only (the default).  ``False`` restores the
-        pickle-per-batch :class:`ShardPayload` protocol — kept for
-        benchmarking the two dispatch costs against each other and for
-        platforms without usable ``multiprocessing.shared_memory``.  A
-        segment-publication failure at run time flips this to ``False`` for
-        the executor's remaining lifetime (counted in
-        ``stats.shm_fallbacks``), so an shm-less platform pays the failed
-        attempt once, not per batch.
-    use_plan:
-        Resolve each batch into a :class:`repro.engine.plan.BatchPlan`
-        first (the default): duplicates answered once, queries grouped by
-        component at plan time, and the serial path executed through the
-        factorised group executor.  ``False`` restores the pre-plan
-        per-query partition-and-loop — the reference the differential tests
-        and the ``--no-plan`` CLI escape hatch compare against.  Answers
-        are bit-identical either way.
+        run every batch on the serial factorised path.
     pool_factory:
         Callable ``workers -> pool`` (anything with ``map``; ``shutdown`` is
         honoured if present).  The pool is created lazily on the first
@@ -402,7 +277,7 @@ class ShardedExecutor:
 
     Examples
     --------
-    >>> executor = ShardedExecutor(engine, workers=4)       # doctest: +SKIP
+    >>> executor = ShardedExecutor(engine, workers=2)       # doctest: +SKIP
     >>> batch = executor.run(queries, k=4)                  # doctest: +SKIP
     """
 
@@ -411,9 +286,6 @@ class ShardedExecutor:
         engine: QueryEngine,
         *,
         workers: Optional[int] = None,
-        min_parallel_queries: int = 2,
-        use_shared_memory: bool = True,
-        use_plan: bool = True,
         pool_factory: Callable[[int], object] = default_pool_factory,
     ) -> None:
         if workers is not None and (not isinstance(workers, int) or workers < 0):
@@ -422,9 +294,6 @@ class ShardedExecutor:
             )
         self.engine = engine
         self.workers = int(workers) if workers else 0
-        self.min_parallel_queries = int(min_parallel_queries)
-        self.use_shared_memory = bool(use_shared_memory)
-        self.use_plan = bool(use_plan)
         self.pool_factory = pool_factory
         self.stats = ExecutorStats()
         self._pool = None
@@ -491,74 +360,14 @@ class ShardedExecutor:
     ) -> BatchResult:
         """Answer every query of ``queries`` at threshold ``k``.
 
-        Shards by component and executes on the pool when the batch is large
-        enough, ``workers >= 2``, and ``k > 1`` (a ``k = 1`` answer is one
-        nearest-neighbour lookup, never worth a shard); otherwise — or when
-        the pool fails — answers serially through the engine.  Both paths
-        fill the same
-        :class:`BatchResult`: out-of-range vertices land in ``errors``,
-        vertices outside every k-core in ``failed``, and the merged results
-        are bit-identical regardless of the path taken.
-
-        With ``use_plan`` (the default) the batch is first resolved by
-        :func:`repro.engine.plan.plan_batch` and executed via
-        :meth:`run_plan`; the legacy partition below is the ``--no-plan``
-        reference path.
+        Resolves the batch with :func:`repro.engine.plan.plan_batch` and
+        executes it via :meth:`run_plan`: out-of-range vertices land in
+        ``errors``, vertices outside every k-core in ``failed``, and the
+        merged results are bit-identical whichever path executes them.
         """
-        if algorithm not in ALGORITHMS:
-            raise InvalidParameterError(
-                f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-            )
-        if self.use_plan:
-            return self.run_plan(
-                plan_batch(self.engine, queries, k, algorithm=algorithm, params=params)
-            )
-        start = perf_counter()
-        batch = BatchResult()
-
-        shared_start = perf_counter()
-        labels, _ = self.engine.component_labels(k)  # validates k
-        batch.shared_preprocessing_seconds = perf_counter() - shared_start
-
-        shards: Dict[int, List[int]] = {}
-        eligible = 0
-        for query in queries:
-            query = int(query)
-            if not 0 <= query < self.engine.graph.num_vertices:
-                batch.errors[query] = f"vertex {query} is not in the graph"
-                continue
-            component = int(labels[query])
-            if component < 0:
-                batch.failed.append(query)
-                continue
-            shards.setdefault(component, []).append(query)
-            eligible += 1
-
-        # k == 1 answers are single nearest-neighbour lookups — cheaper than
-        # shipping a shard, and parallelising them would materialise bundles
-        # no query (and no answer cache) ever reads.
-        if k > 1 and self.workers >= 2 and eligible >= self.min_parallel_queries:
-            try:
-                self._run_parallel(shards, k, algorithm, params, batch)
-                self.stats.batches_parallel += 1
-                self.stats.queries_parallel += eligible
-            except ReproError:
-                # Deterministic per-query errors (bad algorithm parameters)
-                # raised inside a worker are the caller's to see — the serial
-                # path would raise exactly the same.
-                raise
-            except Exception:
-                # Broken pool, killed worker, unattachable segment: discard
-                # the pool and degrade to the serial path rather than
-                # failing the batch.
-                self.close()
-                self.stats.serial_fallbacks += 1
-                self._run_serial(shards, k, algorithm, params, batch)
-        else:
-            self._run_serial(shards, k, algorithm, params, batch)
-
-        batch.elapsed_seconds = perf_counter() - start
-        return batch
+        return self.run_plan(
+            plan_batch(self.engine, queries, k, algorithm=algorithm, params=params)
+        )
 
     def run_plan(self, plan: BatchPlan) -> BatchResult:
         """Execute a resolved :class:`~repro.engine.plan.BatchPlan`.
@@ -566,12 +375,15 @@ class ShardedExecutor:
         The executor's half of the three-stage pipeline: the plan already
         classified every occurrence (errors, failures, duplicates, cache
         hits), so this method only executes the surviving groups — on the
-        pool when the batch qualifies (shards are exactly the plan groups,
-        so shared-memory segments are fetched once per group), serially
-        through the factorised group executor otherwise or after a pool
-        failure.  Plan-resolved answers (``plan.cached``) are merged into
-        the returned :class:`BatchResult`, whose ``deduped`` / ``plan_groups``
-        fields carry the factorisation accounting.
+        pool when ``workers >= 2``, ``k > 1`` (a ``k = 1`` answer is one
+        nearest-neighbour lookup, never worth a shard), and the batch has at
+        least :data:`MIN_PARALLEL_QUERIES` queries; serially through the
+        factorised group executor otherwise or after any failure of the
+        parallel machinery.  Each group runs under its own effective
+        algorithm and parameters (:meth:`PlanGroup.effective_algorithm`).
+        Plan-resolved answers (``plan.cached``) are merged into the returned
+        :class:`BatchResult`, whose ``deduped`` / ``plan_groups`` fields
+        carry the factorisation accounting.
         """
         start = perf_counter()
         batch = BatchResult()
@@ -583,10 +395,9 @@ class ShardedExecutor:
         batch.cache_hits = plan.cache_hits
 
         eligible = plan.planned
-        if plan.k > 1 and self.workers >= 2 and eligible >= self.min_parallel_queries:
-            shards = {group.component: list(group.queries) for group in plan.groups}
+        if plan.k > 1 and self.workers >= 2 and eligible >= MIN_PARALLEL_QUERIES:
             try:
-                self._run_parallel(shards, plan.k, plan.algorithm, plan.params, batch)
+                self._run_parallel(plan, batch)
                 self.stats.batches_parallel += 1
                 self.stats.queries_parallel += eligible
             except ReproError:
@@ -595,16 +406,19 @@ class ShardedExecutor:
                 # serial path would raise exactly the same.
                 raise
             except Exception:
+                # Broken pool, killed worker, unpublishable or unattachable
+                # segment: discard the pool and segments and degrade to the
+                # serial path rather than failing the batch.
                 self.close()
                 self.stats.serial_fallbacks += 1
-                self._run_serial_plan(plan, batch)
+                self._run_serial(plan, batch)
         elif eligible:
-            self._run_serial_plan(plan, batch)
+            self._run_serial(plan, batch)
         batch.results.update(plan.cached)
         batch.elapsed_seconds = plan.planning_seconds + (perf_counter() - start)
         return batch
 
-    def _run_serial_plan(self, plan: BatchPlan, batch: BatchResult) -> None:
+    def _run_serial(self, plan: BatchPlan, batch: BatchResult) -> None:
         """Answer the plan's groups in-process via the factorised executor."""
         self.stats.batches_serial += 1
         for group in plan.groups:
@@ -614,60 +428,29 @@ class ShardedExecutor:
             self.stats.queries_serial += len(group.queries)
 
     # ----------------------------------------------------------------- shards
-    def _shard_chunks(self, shards: Dict[int, List[int]]) -> List[Tuple[int, List[int]]]:
-        """Split the component shards into worker-sized query chunks.
+    def _shard_chunks(
+        self, groups: Sequence[PlanGroup]
+    ) -> List[Tuple[PlanGroup, List[int]]]:
+        """Split the plan groups into worker-sized query chunks.
 
-        When the batch has fewer components than workers — the common
-        one-giant-component case — a component's query list is split across
+        When the batch has fewer groups than workers — the common
+        one-giant-component case — a group's query list is split across
         several chunks (proportionally to its share of the batch) so the
-        whole pool participates.  Chunks of one component reference the same
-        artifacts; chunks of distinct components are never merged.
+        whole pool participates.  Chunks of one group reference the same
+        segment; chunks of distinct groups are never merged.
         """
-        eligible = sum(len(queries) for queries in shards.values())
-        chunks_out: List[Tuple[int, List[int]]] = []
-        for component in sorted(shards):
-            queries = shards[component]
+        eligible = sum(len(group.queries) for group in groups)
+        chunks_out: List[Tuple[PlanGroup, List[int]]] = []
+        for group in groups:
+            queries = list(group.queries)
             chunks = 1
-            if self.workers >= 2 and len(shards) < self.workers and eligible:
+            if self.workers >= 2 and len(groups) < self.workers and eligible:
                 chunks = max(1, round(self.workers * len(queries) / eligible))
                 chunks = min(chunks, len(queries))
             size = -(-len(queries) // chunks)  # ceil division
             for start in range(0, len(queries), size):
-                chunks_out.append((component, queries[start : start + size]))
+                chunks_out.append((group, queries[start : start + size]))
         return chunks_out
-
-    def payloads(
-        self,
-        shards: Dict[int, List[int]],
-        k: int,
-        algorithm: str,
-        params: Dict[str, float],
-    ) -> List[ShardPayload]:
-        """Materialise the pickle-protocol :class:`ShardPayload` list.
-
-        Pulls each component's artifacts from the engine cache (building them
-        on first use, exactly like a serial query would) so the arrays
-        serialised to the pool are the same arrays serial queries read.  The
-        chunk split duplicates a split component's serialised arrays per
-        chunk — a deliberate trade for worker utilisation, and exactly the
-        per-batch cost the shared-memory protocol exists to avoid.
-        """
-        result = []
-        for component, queries in self._shard_chunks(shards):
-            artifacts = self.engine.component_artifacts(k, component)
-            result.append(
-                ShardPayload(
-                    k=k,
-                    algorithm=algorithm,
-                    params=dict(params),
-                    members=artifacts.candidate_array,
-                    coords=artifacts.candidate_coords,
-                    local_indptr=artifacts.local_indptr,
-                    local_indices=artifacts.local_indices,
-                    queries=queries,
-                )
-            )
-        return result
 
     def _segment_spec(self, k: int, component: int) -> Tuple[Dict[str, object], int]:
         """Return (publishing if needed) one component's ``(spec, spec bytes)``.
@@ -716,95 +499,25 @@ class ShardedExecutor:
         self.stats.bytes_shared += pack.nbytes
         return spec, spec_bytes
 
-    # ----------------------------------------------------------- execution paths
-    def _run_parallel(
-        self,
-        shards: Dict[int, List[int]],
-        k: int,
-        algorithm: str,
-        params: Dict[str, float],
-        batch: BatchResult,
-    ) -> None:
-        """Dispatch the batch to the pool, preferring the shared-memory protocol."""
-        if self.use_shared_memory:
-            tasks: Optional[List[Tuple[ShardTask, int]]] = None
-            try:
-                tasks = []
-                for component, queries in self._shard_chunks(shards):
-                    spec, spec_bytes = self._segment_spec(k, component)
-                    tasks.append(
-                        (
-                            ShardTask(
-                                k=k,
-                                algorithm=algorithm,
-                                params=dict(params),
-                                queries=queries,
-                                segment=spec,
-                            ),
-                            spec_bytes,
-                        )
-                    )
-            except ReproError:
-                raise
-            except Exception:
-                # Segment publication failed (shared memory exhausted or
-                # unavailable): disable the protocol for this executor so
-                # future batches go straight to pickling, and retire any
-                # partial segments — nothing will reuse them.  Pool failures
-                # are NOT caught here — they surface from pool.map below and
-                # reach run()'s serial fallback.
-                self.stats.shm_fallbacks += 1
-                self.use_shared_memory = False
-                self._release_segments()
-            if tasks is not None:
-                self.stats.bytes_dispatched += sum(
-                    spec_bytes
-                    + len(pickle.dumps((task.k, task.algorithm, task.params, task.queries)))
-                    for task, spec_bytes in tasks
-                )
-                pool = self._get_pool()
-                for answers in pool.map(_run_shard_task, [task for task, _ in tasks]):
-                    for query, result in answers:
-                        batch.results[query] = result
-                self.stats.shards_executed += len(tasks)
-                return
-        self._run_parallel_pickle(shards, k, algorithm, params, batch)
-
-    def _run_parallel_pickle(
-        self,
-        shards: Dict[int, List[int]],
-        k: int,
-        algorithm: str,
-        params: Dict[str, float],
-        batch: BatchResult,
-    ) -> None:
-        """Pickle protocol: re-serialise the shard arrays to the pool."""
-        payloads = self.payloads(shards, k, algorithm, params)
-        self.stats.bytes_pickled += sum(
-            _payload_array_bytes(payload) for payload in payloads
-        )
-        pool = self._get_pool()
-        for answers in pool.map(_run_shard, payloads):
+    def _run_parallel(self, plan: BatchPlan, batch: BatchResult) -> None:
+        """Dispatch the plan's groups to the pool as shared-memory shard tasks."""
+        tasks: List[ShardTask] = []
+        dispatched = 0
+        for group, queries in self._shard_chunks(plan.groups):
+            spec, spec_bytes = self._segment_spec(plan.k, group.component)
+            task = ShardTask(
+                k=plan.k,
+                algorithm=group.effective_algorithm(plan),
+                params=dict(group.effective_params(plan)),
+                queries=queries,
+                segment=spec,
+            )
+            dispatched += spec_bytes + len(
+                pickle.dumps((task.k, task.algorithm, task.params, task.queries))
+            )
+            tasks.append(task)
+        self.stats.bytes_dispatched += dispatched
+        for answers in self._get_pool().map(_run_shard_task, tasks):
             for query, result in answers:
                 batch.results[query] = result
-        self.stats.shards_executed += len(payloads)
-
-    def _run_serial(
-        self,
-        shards: Dict[int, List[int]],
-        k: int,
-        algorithm: str,
-        params: Dict[str, float],
-        batch: BatchResult,
-    ) -> None:
-        """Answer the sharded queries one by one through the engine."""
-        self.stats.batches_serial += 1
-        for component in sorted(shards):
-            for query in shards[component]:
-                try:
-                    batch.results[query] = self.engine.search(
-                        query, k, algorithm=algorithm, **params
-                    )
-                except NoCommunityError:  # pragma: no cover - labels said yes
-                    batch.failed.append(query)
-                self.stats.queries_serial += 1
+        self.stats.shards_executed += len(tasks)

@@ -16,7 +16,9 @@ production install.  The real-socket server harness shared by the
 serving-tier suites (:func:`~repro.testing.serverharness.serve`,
 :class:`~repro.testing.serverharness.Tier`, the payload oracles and drain
 assertions) lives in :mod:`repro.testing.serverharness`, likewise not
-imported here — it pulls in the whole serving stack.
+imported here — it pulls in the whole serving stack.  The reference oracle
+every execution path is compared against (the paper's algorithm on a fresh
+query context) is :mod:`repro.testing.oracle`.
 """
 
 from __future__ import annotations

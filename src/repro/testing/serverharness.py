@@ -14,7 +14,8 @@ suite states only its own contract:
   :func:`assert_payload_identical` — the JSON a correct response carries
   for a serial-engine result, and the bit-identity assertion;
 * :func:`assert_results_identical` — the same identity on in-process
-  :class:`~repro.core.result.SACResult` pairs (no server involved);
+  :class:`~repro.core.result.SACResult` pairs (re-exported from
+  :mod:`repro.testing.oracle`);
 * :func:`shm_segments` / :func:`assert_clean_drain` — drain hygiene:
   a stop must be idempotent and leak no shared-memory segments.
 
@@ -41,6 +42,7 @@ from repro.replication import (
 )
 from repro.server import SACClient, ServerConfig, start_in_thread
 from repro.service import SACService, approximation_bound
+from repro.testing.oracle import assert_results_identical
 
 __all__ = [
     "EPS",
@@ -227,18 +229,6 @@ def assert_payload_identical(payload, expected, context=()) -> None:
     assert payload["members"] == expected["members"], context
     assert payload["radius"] == expected["radius"], context
     assert payload["center"] == expected["center"], context
-
-
-def assert_results_identical(first, second, context=()) -> None:
-    """Two in-process :class:`SACResult` answers are bit-identical (or both None)."""
-    assert (first is None) == (second is None), context
-    if first is None:
-        return
-    assert first.members == second.members, context
-    assert first.circle.radius == second.circle.radius, context
-    assert first.circle.center.x == second.circle.center.x, context
-    assert first.circle.center.y == second.circle.center.y, context
-    assert first.stats == second.stats, context
 
 
 # -------------------------------------------------------------- drain hygiene

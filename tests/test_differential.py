@@ -8,10 +8,11 @@ hypothesis through the shared :mod:`repro.testing.strategies` generators:
   a lower bound for every algorithm, ``AppInc``/``AppFast(εF)``/``AppAcc(εA)``
   stay within their ``2`` / ``2 + εF`` / ``1 + εA`` factors, and ``Exact+``
   matches ``Exact`` to its ``1 + εA`` tolerance.
-* **Execution-path parity** — serial engine, sharded process-pool execution,
-  and the answer-cached service must return *bit-identical* results (same
-  member sets, same circle floats, same stats), including after incremental
-  location and edge updates interleave with cached queries.
+* **Execution-path parity** — sharded process-pool execution and the
+  answer-cached service must return results *bit-identical* to the
+  reference oracle (:mod:`repro.testing.oracle`: same member sets, same
+  circle floats, same stats), including after incremental location and
+  edge updates interleave with cached queries.
 """
 
 import numpy as np
@@ -23,6 +24,8 @@ from repro.core.searcher import ALGORITHMS
 from repro.engine import IncrementalEngine, QueryEngine
 from repro.exceptions import NoCommunityError
 from repro.service import SACService, ShardedExecutor
+from repro.testing.oracle import assert_results_identical as _assert_identical
+from repro.testing.oracle import oracle_batch, oracle_search
 from repro.testing.strategies import random_spatial_graph
 
 #: Approximation-factor bound of each algorithm, as a function of its params.
@@ -42,24 +45,6 @@ PARAMS = {
     "appfast": {"epsilon_f": 0.5},
     "appacc": {"epsilon_a": 0.5},
 }
-
-
-def _assert_identical(first, second, context=()):
-    assert (first is None) == (second is None), context
-    if first is None:
-        return
-    assert first.members == second.members, context
-    assert first.circle.radius == second.circle.radius, context
-    assert first.circle.center.x == second.circle.center.x, context
-    assert first.circle.center.y == second.circle.center.y, context
-    assert first.stats == second.stats, context
-
-
-def _search_or_none(engine, query, k, algorithm, params):
-    try:
-        return engine.search(query, k, algorithm=algorithm, **params)
-    except NoCommunityError:
-        return None
 
 
 class TestApproximationInvariants:
@@ -125,7 +110,7 @@ class TestApproximationInvariants:
 
 
 class TestExecutionPathParity:
-    """Serial engine == sharded pool == answer-cached service, bitwise."""
+    """Oracle == sharded pool == answer-cached service, bitwise."""
 
     @settings(
         max_examples=8,
@@ -140,18 +125,16 @@ class TestExecutionPathParity:
         k = int(rng.integers(2, 4))
         queries = [int(q) for q in rng.choice(n, size=min(12, n), replace=False)]
 
-        serial_engine = QueryEngine(graph)
-        serial = {
-            q: _search_or_none(serial_engine, q, k, "appfast", {"epsilon_f": 0.5})
-            for q in queries
-        }
+        serial = oracle_batch(graph, queries, k, algorithm="appfast", epsilon_f=0.5)
 
         executor = ShardedExecutor(QueryEngine(graph), workers=2)
         sharded = executor.run(queries, k, algorithm="appfast", epsilon_f=0.5)
+        executor.close()
 
         service = SACService(graph, workers=2)
         cached_cold = service.submit_batch(queries, k, algorithm="appfast", epsilon_f=0.5)
         cached_warm = service.submit_batch(queries, k, algorithm="appfast", epsilon_f=0.5)
+        service.close()
         answered = [q for q in queries if serial[q] is not None]
         assert cached_warm.cache_hits == len(answered)
 
@@ -171,14 +154,14 @@ class TestExecutionPathParity:
     )
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_cached_service_tracks_incremental_mutations(self, seed):
-        """Interleaved check-ins/edge flips: cache answers == fresh engine."""
+        """Interleaved check-ins/edge flips: cache answers == the oracle."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(30, 70))
         graph, edges = random_spatial_graph(rng, n, int(rng.integers(2 * n, 4 * n)))
         service = SACService(engine=IncrementalEngine(graph))
 
         def compare():
-            fresh = QueryEngine(service.graph.mutable_copy())
+            fresh = service.graph.mutable_copy()
             for k in (2, 3):
                 for query in rng.choice(n, size=3, replace=False):
                     query = int(query)
@@ -190,7 +173,7 @@ class TestExecutionPathParity:
                         served = None
                     _assert_identical(
                         served,
-                        _search_or_none(fresh, query, k, "appfast", {"epsilon_f": 0.5}),
+                        oracle_search(fresh, query, k, algorithm="appfast", epsilon_f=0.5),
                         (seed, k, query),
                     )
 

@@ -9,9 +9,10 @@ Two halves, mirroring the two promises of :mod:`repro.engine.plan`:
   vertices classified per occurrence.
 * **Execution parity** — hypothesis properties asserting the factorised
   pipeline returns answers *bit-identical* (member sets, circle floats,
-  stats) to the per-query serial path, across the serial engine, the
-  sharded executor, and the answer-cached service, including while
-  incremental check-ins and edge flips interleave with planned batches.
+  stats) to the reference oracle (:mod:`repro.testing.oracle`), across the
+  serial engine, the sharded executor, and the answer-cached service,
+  including while incremental check-ins and edge flips interleave with
+  planned batches.
 """
 
 from collections import Counter
@@ -21,22 +22,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import IncrementalEngine, QueryEngine
-from repro.engine.plan import plan_batch
+from repro.engine.plan import execute_group, plan_batch
 from repro.exceptions import VertexNotFoundError
 from repro.graph.builder import GraphBuilder
-from repro.service import SACService
+from repro.service import SACService, ShardedExecutor
+from repro.testing.oracle import assert_results_identical as _assert_identical
+from repro.testing.oracle import oracle_batch
 from repro.testing.strategies import random_spatial_graph
-
-
-def _assert_identical(first, second, context=()):
-    assert (first is None) == (second is None), context
-    if first is None:
-        return
-    assert first.members == second.members, context
-    assert first.circle.radius == second.circle.radius, context
-    assert first.circle.center.x == second.circle.center.x, context
-    assert first.circle.center.y == second.circle.center.y, context
-    assert first.stats == second.stats, context
 
 
 def _two_component_graph():
@@ -108,7 +100,7 @@ class TestPlanShape:
         queries = distinct * 3
 
         fanned = engine.search_many(queries, 2)
-        serial = engine.search_many(distinct, 2, plan=False)
+        serial = oracle_batch(graph, distinct, 2)
 
         assert set(fanned) == set(distinct)
         for query in distinct:
@@ -118,17 +110,23 @@ class TestPlanShape:
         graph, labels = _two_component_graph()
         service = SACService(graph)
         distinct = _queries_per_component(labels, int(labels.max()) + 1)
+        left = [q for q in distinct if labels[q] == labels[distinct[0]]]
 
-        cold = service.submit_batch(distinct, 2)
-        warm_plan = plan_batch(
-            service.engine, distinct, 2, params={}, cache=service.cache
-        )
+        cold = service.submit_batch(left, 2)
+        mixed = service.submit_batch(distinct + left, 2)
 
-        answered = sorted(cold.results)
-        assert warm_plan.groups == []  # every answered query now comes cached
-        assert sorted(warm_plan.cached) == answered
-        assert warm_plan.cache_hits == len(answered)
-        assert warm_plan.planned == 0
+        # The warmed component's group is pruned whole; only the other one
+        # executes, and every occurrence of a hit counts as a cache hit.
+        assert mixed.cache_hits == 2 * len(left)
+        assert mixed.deduped == 0
+        assert mixed.plan_groups == 1
+        assert service.engine.stats.plan_groups == 2  # one per batch
+        assert service.engine.stats.queries_deduped == 0
+        assert sorted(mixed.results) == sorted(distinct)
+        for query in left:
+            _assert_identical(cold.results[query], mixed.results[query], query)
+        stats = service.stats().executor
+        assert stats.queries_serial == len(distinct)
 
     def test_all_cached_batch_short_circuits(self):
         graph, labels = _two_component_graph()
@@ -178,6 +176,33 @@ class TestPlanShape:
         assert plan.planned == 1  # `inside` once; duplicates don't execute
         assert plan.deduped == 1
 
+    def test_pool_honours_group_overrides(self):
+        """A rung-overridden group runs at its own algorithm on the pool too."""
+        graph, labels = _two_component_graph()
+        queries = _queries_per_component(labels, int(labels.max()) + 1)
+        engine = QueryEngine(graph)
+        plan = plan_batch(engine, queries, 2, params={"epsilon_f": 0.5})
+        assert len(plan.groups) == 2
+        plan.groups[1].algorithm = "appacc"
+        plan.groups[1].params = {"epsilon_a": 0.5}
+        expected = {}
+        for group in plan.groups:
+            expected.update(execute_group(engine, plan, group))
+
+        executor = ShardedExecutor(QueryEngine(graph), workers=2)
+        try:
+            batch = executor.run_plan(plan)
+        finally:
+            executor.close()
+
+        assert executor.stats.batches_parallel == 1
+        assert set(batch.results) == set(expected)
+        for query, result in expected.items():
+            _assert_identical(result, batch.results[query], query)
+        assert {batch.results[q].algorithm for q in plan.groups[1].queries} == {
+            "appacc"
+        }
+
 
 class TestFactorisedParity:
     """Planned execution == per-query serial execution, bitwise."""
@@ -199,9 +224,7 @@ class TestFactorisedParity:
 
         engine = QueryEngine(graph)
         planned = engine.search_many(queries, k, algorithm="appfast", epsilon_f=0.5)
-        serial = engine.search_many(
-            queries, k, algorithm="appfast", plan=False, epsilon_f=0.5
-        )
+        serial = oracle_batch(graph, queries, k, algorithm="appfast", epsilon_f=0.5)
 
         assert set(planned) == set(serial)
         for query in serial:
@@ -227,12 +250,9 @@ class TestFactorisedParity:
         queries = [int(q) for q in rng.choice(n, size=min(12, n), replace=False)]
         queries = queries + queries[: len(queries) // 2]
 
-        serial = QueryEngine(graph).search_many(
-            queries, k, algorithm="appfast", plan=False, epsilon_f=0.5
-        )
+        serial = oracle_batch(graph, queries, k, algorithm="appfast", epsilon_f=0.5)
         sharded = SACService(graph, workers=2, use_cache=False)
         cached = SACService(graph)
-        unplanned = SACService(graph, use_plan=False)
         try:
             sharded_batch = sharded.submit_batch(
                 queries, k, algorithm="appfast", epsilon_f=0.5
@@ -243,22 +263,15 @@ class TestFactorisedParity:
             cached_warm = cached.submit_batch(
                 queries, k, algorithm="appfast", epsilon_f=0.5
             )
-            unplanned_batch = unplanned.submit_batch(
-                queries, k, algorithm="appfast", epsilon_f=0.5
-            )
         finally:
             sharded.close()
             cached.close()
-            unplanned.close()
 
         for query in serial:
             context = (seed, k, query)
             _assert_identical(serial[query], sharded_batch.results.get(query), context)
             _assert_identical(serial[query], cached_cold.results.get(query), context)
             _assert_identical(serial[query], cached_warm.results.get(query), context)
-            _assert_identical(
-                serial[query], unplanned_batch.results.get(query), context
-            )
         # Warm round: every occurrence of an answered query is a cache hit.
         assert cached_warm.cache_hits == sum(
             1 for q in queries if serial[q] is not None
@@ -278,15 +291,15 @@ class TestFactorisedParity:
         service = SACService(engine=IncrementalEngine(graph))
 
         def compare():
-            fresh = QueryEngine(service.graph.mutable_copy())
+            fresh = service.graph.mutable_copy()
             queries = [int(q) for q in rng.choice(n, size=6, replace=False)]
             queries = queries + queries[:3]
             for k in (2, 3):
                 batch = service.submit_batch(
                     queries, k, algorithm="appfast", epsilon_f=0.5
                 )
-                serial = fresh.search_many(
-                    queries, k, algorithm="appfast", plan=False, epsilon_f=0.5
+                serial = oracle_batch(
+                    fresh, queries, k, algorithm="appfast", epsilon_f=0.5
                 )
                 for query in serial:
                     _assert_identical(

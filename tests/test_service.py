@@ -17,8 +17,9 @@ from repro.engine import IncrementalEngine, QueryEngine
 from repro.exceptions import InvalidParameterError, NoCommunityError, VertexNotFoundError
 from repro.experiments.queries import select_query_vertices
 from repro.extensions.batch import BatchSACProcessor
+from repro.engine.plan import plan_batch
 from repro.service import AnswerCache, SACService, ShardedExecutor
-from repro.service.sharding import _run_shard
+from repro.store import SharedArrayPack
 from repro.testing.strategies import random_spatial_graph
 
 
@@ -91,11 +92,14 @@ class TestShardedExecutor:
         labels, _ = executor.engine.component_labels(4)
         component = int(labels[queries[0]])
         same_component = [q for q in queries if int(labels[q]) == component]
-        payloads = executor.payloads({component: same_component}, 4, "appfast", {})
-        assert len(payloads) == min(4, len(same_component))
-        assert sorted(q for p in payloads for q in p.queries) == sorted(same_component)
-        for payload in payloads:
-            assert payload.members is payloads[0].members  # same shared arrays
+        plan = plan_batch(executor.engine, same_component, 4)
+        chunks = executor._shard_chunks(plan.groups)
+        assert len(chunks) == min(4, len(same_component))
+        assert sorted(q for _group, chunk in chunks for q in chunk) == sorted(
+            same_component
+        )
+        for group, _chunk in chunks:
+            assert group is plan.groups[0]  # every chunk reads one segment
 
     def test_deterministic_worker_error_propagates_not_falls_back(self, graph, queries):
         executor = ShardedExecutor(QueryEngine(graph), workers=2)
@@ -113,20 +117,6 @@ class TestShardedExecutor:
         executor.close()
         assert executor._pool is None
 
-    def test_run_shard_worker_is_deterministic(self, graph, queries):
-        """The worker entry point itself, run in-process, matches the engine."""
-        engine = QueryEngine(graph)
-        executor = ShardedExecutor(engine, workers=2)
-        labels, _ = engine.component_labels(4)
-        shards = {}
-        for q in queries:
-            shards.setdefault(int(labels[q]), []).append(q)
-        for payload in executor.payloads(shards, 4, "appfast", {"epsilon_f": 0.5}):
-            for query, result in _run_shard(payload):
-                _assert_identical(
-                    engine.search(query, 4, algorithm="appfast", epsilon_f=0.5), result
-                )
-
     def test_worker_crash_falls_back_to_serial(self, graph, queries):
         _ExplodingPool.calls = 0
         executor = ShardedExecutor(
@@ -136,6 +126,23 @@ class TestShardedExecutor:
         assert _ExplodingPool.calls == 1
         assert executor.stats.serial_fallbacks == 1
         assert executor.stats.batches_parallel == 0
+        reference = QueryEngine(graph)
+        for q in queries:
+            _assert_identical(
+                reference.search(q, 4, algorithm="appfast", epsilon_f=0.5),
+                batch.results[q],
+            )
+
+    def test_segment_failure_falls_back_to_serial(self, graph, queries, monkeypatch):
+        def refuse(arrays):
+            raise OSError("no shared memory on this host")
+
+        monkeypatch.setattr(SharedArrayPack, "create", staticmethod(refuse))
+        executor = ShardedExecutor(QueryEngine(graph), workers=2)
+        batch = executor.run(queries, 4, algorithm="appfast", epsilon_f=0.5)
+        assert executor.stats.serial_fallbacks == 1
+        assert executor.stats.batches_parallel == 0
+        assert executor._pool is None and executor._segments == {}
         reference = QueryEngine(graph)
         for q in queries:
             _assert_identical(
@@ -383,6 +390,17 @@ class TestSearchManyErrorSurfacing:
         engine = QueryEngine(graph)
         with pytest.raises(VertexNotFoundError):
             engine.search_many([queries[0], graph.num_vertices + 3], 4)
+
+    def test_invalid_k_fails_each_query(self, graph, queries):
+        engine = QueryEngine(graph)
+        errors = {}
+        results = engine.search_many(queries[:2], 0, errors=errors)
+        assert results == dict.fromkeys(queries[:2])
+        assert set(errors) == set(queries[:2])
+        assert all("k must be a positive integer" in m for m in errors.values())
+        with pytest.raises(InvalidParameterError):
+            engine.search_many(queries[:2], 0)
+        assert engine.search_many([], 0) == {}
 
     def test_unknown_algorithm_always_raises(self, graph, queries):
         engine = QueryEngine(graph)
