@@ -804,7 +804,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         wal_dir=args.wal_dir if args.role in ("writer", "replica") else None,
         wal_fsync=args.wal_fsync,
         snapshot_lsn=snapshot_lsn,
-        max_resident_bytes=_resident_budget_bytes(args),
         poll_timeout_ms=args.poll_timeout_ms,
         subscription_backlog=args.subscription_backlog,
         subscription_idle_seconds=(

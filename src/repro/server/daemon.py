@@ -176,10 +176,6 @@ class ServerConfig:
         snapshot's :attr:`repro.store.ArtifactStore.lsn`.  On start the
         writer replays any retained WAL records beyond it before accepting
         traffic, so a restart resumes exactly at the last durable LSN.
-    max_resident_bytes:
-        Byte budget of the engine's artifact-bundle residency layer (set by
-        the CLI's ``--max-resident-mb``; informational here — the budget is
-        applied when the engine is opened).  ``None`` means unlimited.
     poll_timeout_ms:
         Upper bound on how long one ``GET /subscribe`` long-poll parks
         before answering with an empty delta list (a request may ask for
@@ -212,7 +208,6 @@ class ServerConfig:
     wal_dir: Optional[str] = None
     wal_fsync: bool = False
     snapshot_lsn: int = 0
-    max_resident_bytes: Optional[int] = None
     poll_timeout_ms: float = 30000.0
     subscription_backlog: int = 64
     subscription_idle_seconds: Optional[float] = 300.0
@@ -782,33 +777,46 @@ class SACServer:
         stats.queries_deduped += len(entries) - len({entry.vertex for entry in entries})
         setattr(stats, f"flushes_{reason}", getattr(stats, f"flushes_{reason}") + 1)
         k, algorithm, params, lane = key
-        vertices = [entry.vertex for entry in entries]
-        if lane == LANE_DEADLINE:
-            def run(entries=entries, vertices=vertices, k=k, algorithm=algorithm, params=params):
-                # The remaining budget is measured when the job actually
-                # starts on the engine thread, so time spent queued behind
-                # other jobs automatically sheds the group to faster rungs.
-                now = self._clock()
-                remaining = min(
-                    entry.deadline_ms - (now - entry.arrived) * 1000.0
-                    for entry in entries
-                )
-                return self.service.submit_batch(
-                    vertices,
-                    k,
-                    algorithm=algorithm,
-                    deadline_ms=max(0.0, remaining),
-                    **dict(params),
-                )
+        deadlines = (
+            [(entry.deadline_ms, entry.arrived) for entry in entries]
+            if lane == LANE_DEADLINE
+            else None
+        )
+        run = self._batch_job([entry.vertex for entry in entries], k, algorithm, params, deadlines)
+        self._jobs.put_nowait(
+            _Job(kind="batch", run=run, entries=entries), urgent=deadlines is not None
+        )
 
-            self._jobs.put_nowait(
-                _Job(kind="batch", run=run, entries=entries), urgent=True
+    def _batch_job(
+        self,
+        vertices: List[int],
+        k: int,
+        algorithm: str,
+        params: Tuple[Tuple[str, float], ...],
+        deadlines: Optional[Sequence[Tuple[float, float]]],
+    ) -> Callable[[], BatchResult]:
+        """The engine job answering one batch, best-effort or under deadlines.
+
+        ``deadlines`` holds one ``(deadline_ms, arrived)`` pair per request
+        in the batch (``None`` on the best-effort lane); the batch runs
+        under the tightest remaining budget.  That budget is measured when
+        the job actually starts on the engine thread, so time spent queued
+        behind other jobs automatically sheds the batch to faster rungs.
+        """
+
+        def run() -> BatchResult:
+            deadline_ms = None
+            if deadlines is not None:
+                now = self._clock()
+                deadline_ms = max(
+                    0.0,
+                    min(budget - (now - arrived) * 1000.0 for budget, arrived in deadlines),
+                )
+            return self.service.submit_batch(
+                vertices, k, algorithm=algorithm, deadline_ms=deadline_ms, **dict(params)
             )
-        else:
-            run = lambda: self.service.submit_batch(  # noqa: E731
-                vertices, k, algorithm=algorithm, **dict(params)
-            )
-            self._jobs.put_nowait(_Job(kind="batch", run=run, entries=entries))
+
+        return run
 
     def _flush_all(self, reason: str) -> None:
         """Flush every pending group — the write barrier and the drain path."""
@@ -943,29 +951,23 @@ class SACServer:
         self._jobs.put_nowait(_Job(kind="mutate", run=mutate_then_notify, future=future))
         return await future
 
-    def _delta_lsn(self) -> Optional[int]:
-        """The LSN stamped on subscription deltas (None without a WAL).
-
-        Read *after* the mutation ran in the same serialised job, so it
-        names exactly the mutation the delta reflects: the writer stamps
-        its durable LSN, replicas (via the :attr:`applied_lsn` override)
-        their replay position.
-        """
-        return self.applied_lsn
-
     def _notify_subscribers(self) -> None:
         """Post-mutation half of the write barrier (engine thread).
 
         Expires idle subscriptions, re-evaluates the ones whose component
         version moved, and wakes the parked pollers of every subscription
-        that now has a deliverable message.  Failures are contained — a
-        broken evaluation must not fail the mutation that triggered it.
+        that now has a deliverable message.  Deltas are stamped with
+        :attr:`applied_lsn`, read *after* the mutation ran in the same
+        serialised job, so it names exactly the mutation the delta reflects
+        (the writer's durable LSN, a replica's replay position).  Failures
+        are contained — a broken evaluation must not fail the mutation that
+        triggered it.
         """
         if not len(self.subscriptions):
             return
         try:
             expired = self.subscriptions.expire_idle()
-            woken = self.subscriptions.evaluate(lsn=self._delta_lsn())
+            woken = self.subscriptions.evaluate(lsn=self.applied_lsn)
         except Exception as error:  # noqa: BLE001 - never fail the mutation
             print(f"server: subscription evaluation failed: {error!r}", file=sys.stderr)
             return
@@ -1168,25 +1170,11 @@ class SACServer:
         arrived = self._clock()
         try:
             future: "asyncio.Future[object]" = self._loop.create_future()
-            if deadline_ms is not None:
-                def run(vertices=vertices, k=k, algorithm=algorithm, params=params, deadline_ms=deadline_ms, arrived=arrived):
-                    remaining = deadline_ms - (self._clock() - arrived) * 1000.0
-                    return self.service.submit_batch(
-                        vertices,
-                        k,
-                        algorithm=algorithm,
-                        deadline_ms=max(0.0, remaining),
-                        **dict(params),
-                    )
-
-                self._jobs.put_nowait(
-                    _Job(kind="batch", run=run, future=future), urgent=True
-                )
-            else:
-                run = lambda: self.service.submit_batch(  # noqa: E731
-                    vertices, k, algorithm=algorithm, **dict(params)
-                )
-                self._jobs.put_nowait(_Job(kind="batch", run=run, future=future))
+            deadlines = None if deadline_ms is None else [(deadline_ms, arrived)]
+            run = self._batch_job(vertices, k, algorithm, params, deadlines)
+            self._jobs.put_nowait(
+                _Job(kind="batch", run=run, future=future), urgent=deadlines is not None
+            )
             batch: BatchResult = await future
         finally:
             self._release(lane, len(vertices))
@@ -1516,7 +1504,7 @@ class SACServer:
                 "max_batch_queries": self.config.max_batch_queries,
                 "max_queue_depth": self.config.max_queue_depth,
                 "retry_after_seconds": self.config.retry_after_seconds,
-                "max_resident_bytes": self.config.max_resident_bytes,
+                "max_resident_bytes": self.service.engine.max_resident_bytes,
             },
         }
 

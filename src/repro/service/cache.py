@@ -22,7 +22,8 @@ evicted.  Static engines never bump, so their answers never expire.
 Two classes of answers are deliberately not cached:
 
 * ``k == 1`` answers — the nearest-neighbour shortcut never materialises a
-  bundle, so no version counter guards it;
+  bundle, so no version counter guards it (:func:`versioned`, the rule the
+  subscription registry shares);
 * negative answers (no community) — a vertex outside every k-core belongs to
   no component, so nothing would version-guard the "no" once edge updates
   start promoting vertices.
@@ -42,6 +43,25 @@ from repro.exceptions import InvalidParameterError, NoCommunityError
 CacheKey = Tuple[int, int, int, str, Tuple[Tuple[str, float], ...]]
 
 
+def versioned(k: int) -> bool:
+    """Whether a component version guards the answers at threshold ``k``.
+
+    ``k == 1`` answers come from the nearest-neighbour shortcut, which never
+    builds a bundle, so no mutation ever bumps a version over them: the cache
+    refuses them and the subscription registry re-evaluates them every pass.
+    """
+    return k != 1
+
+
+def component_stamp(engine: QueryEngine, query: int, k: int) -> Tuple[int, int]:
+    """The ``(representative, version)`` stamp of ``query``'s k-ĉore now.
+
+    Raises :class:`~repro.exceptions.NoCommunityError` outside every k-core.
+    """
+    _, representative = engine.component_of(query, k)
+    return representative, engine.component_version(k, representative)
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/eviction counters of one :class:`AnswerCache`.
@@ -52,16 +72,16 @@ class CacheStats:
         Lookups answered from the cache.
     misses:
         Lookups that found no usable entry.  Uncacheable ``k == 1`` lookups
-        are *not* counted here — only in ``uncacheable`` — so
-        ``hits + misses + uncacheable`` equals total lookups.
+        are *not* counted here — only in ``uncacheable``.
     invalidations:
         Entries dropped at lookup time because their component's version had
         moved (or the query vertex left its component entirely).
     stores / evictions:
         Answers written, and answers pushed out by the LRU capacity bound.
     uncacheable:
-        Lookups/stores skipped because the answer class is never cached
-        (``k == 1``).
+        Lookups *and* stores skipped because the answer class is never
+        cached (``k == 1``), so ``hits + misses + uncacheable`` exceeds the
+        lookup count by the refused stores.
     """
 
     hits: int = 0
@@ -128,35 +148,10 @@ class AnswerCache:
         A hit requires the stored entry's component representative *and*
         version to match the engine's current view; anything else drops the
         entry and reports a miss, so a stale answer can never be served.
+        The current view is resolved only when an entry exists.
         """
-        if k == 1:
-            self.stats.uncacheable += 1
-            return None
-        key = self._key(engine, query, k, algorithm, params)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        result, representative, version = entry
-        try:
-            _, current_rep = engine.component_of(int(query), int(k))
-        except NoCommunityError:
-            # The vertex fell out of the k-core since the answer was cached.
-            current_rep = -1
-        if (
-            current_rep != representative
-            or engine.component_version(k, representative) != version
-        ):
-            del self._entries[key]
-            self.stats.invalidations += 1
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        # Fresh stats dict per hit: SACResult is frozen but its stats dict is
-        # not, and a caller writing into it must never corrupt the cached
-        # copy (or other callers' hits).
-        return replace(result, stats=dict(result.stats))
+        hits, _ = self._check(engine, [query], k, algorithm, params)
+        return hits.get(int(query))
 
     def store(
         self,
@@ -173,22 +168,7 @@ class AnswerCache:
         caller who received ``result`` can annotate it freely without
         reaching into the cache.
         """
-        if k == 1:
-            self.stats.uncacheable += 1
-            return
-        _, representative = engine.component_of(int(query), int(k))
-        version = engine.component_version(k, representative)
-        key = self._key(engine, query, k, algorithm, params)
-        self._entries[key] = (
-            replace(result, stats=dict(result.stats)),
-            representative,
-            version,
-        )
-        self._entries.move_to_end(key)
-        self.stats.stores += 1
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        self._fill(engine, {int(query): result}, k, algorithm, params)
 
     def lookup_group(
         self,
@@ -212,30 +192,8 @@ class AnswerCache:
         reports a miss.  Hits carry fresh stats-dict copies, misses keep the
         group's first-seen query order.
         """
-        hits: Dict[int, SACResult] = {}
-        misses: List[int] = []
-        if k == 1:
-            self.stats.uncacheable += len(queries)
-            return hits, list(queries)
-        for query in queries:
-            query = int(query)
-            key = self._key(engine, query, k, algorithm, params)
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                misses.append(query)
-                continue
-            result, stored_rep, stored_version = entry
-            if stored_rep != int(representative) or stored_version != int(version):
-                del self._entries[key]
-                self.stats.invalidations += 1
-                self.stats.misses += 1
-                misses.append(query)
-                continue
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            hits[query] = replace(result, stats=dict(result.stats))
-        return hits, misses
+        stamp = (int(representative), int(version))
+        return self._check(engine, queries, k, algorithm, params, stamp)
 
     def peek_group(
         self,
@@ -256,7 +214,7 @@ class AnswerCache:
         only the rung finally chosen does a real :meth:`lookup_group`.  A
         stale stamp counts as a miss here but the entry is left in place.
         """
-        if k == 1:
+        if not versioned(k):
             return [int(query) for query in queries]
         misses: List[int] = []
         for query in queries:
@@ -288,24 +246,76 @@ class AnswerCache:
         one version read per group instead of one ``component_of`` per
         answer.  LRU eviction runs once after the whole group is written.
         """
-        if k == 1:
+        self._fill(
+            engine, results, k, algorithm, params, (int(representative), int(version))
+        )
+
+    # -------------------------------------------------------------- internals
+    def _check(
+        self,
+        engine: QueryEngine,
+        queries: Sequence[int],
+        k: int,
+        algorithm: str,
+        params: Dict[str, float],
+        stamp: Optional[Tuple[int, int]] = None,
+    ) -> Tuple[Dict[int, SACResult], List[int]]:
+        """The one stamp check: split ``queries`` into ``(hits, misses)``.
+
+        Entries are compared against ``stamp``, or — when it is ``None`` —
+        against the engine's live stamp of each query holding an entry (a
+        vertex that left every k-core is stale).  A stale entry is dropped.
+        """
+        hits: Dict[int, SACResult] = {}
+        misses: List[int] = []
+        if not versioned(k):
+            self.stats.uncacheable += len(queries)
+            return hits, [int(query) for query in queries]
+        for query in map(int, queries):
+            key = self._key(engine, query, k, algorithm, params)
+            entry = self._entries.get(key)
+            try:
+                fresh = entry is not None and entry[1:] == (
+                    stamp or component_stamp(engine, query, k)
+                )
+            except NoCommunityError:
+                fresh = False
+            if fresh:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+                # Fresh stats dict per hit: SACResult is frozen but its stats
+                # dict is not, and a caller writing into it must never
+                # corrupt the cached copy (or other callers' hits).
+                hits[query] = replace(entry[0], stats=dict(entry[0].stats))
+                continue
+            if entry is not None:
+                del self._entries[key]
+                self.stats.invalidations += 1
+            self.stats.misses += 1
+            misses.append(query)
+        return hits, misses
+
+    def _fill(
+        self,
+        engine: QueryEngine,
+        results: Dict[int, SACResult],
+        k: int,
+        algorithm: str,
+        params: Dict[str, float],
+        stamp: Optional[Tuple[int, int]] = None,
+    ) -> None:
+        """The one fill: store ``results`` under ``stamp`` (or live stamps)."""
+        if not versioned(k):
             self.stats.uncacheable += len(results)
             return
         for query, result in results.items():
             key = self._key(engine, query, k, algorithm, params)
             self._entries[key] = (
                 replace(result, stats=dict(result.stats)),
-                int(representative),
-                int(version),
+                *(stamp or component_stamp(engine, query, k)),
             )
             self._entries.move_to_end(key)
             self.stats.stores += 1
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-
-    def clear(self) -> int:
-        """Drop every entry; returns how many were dropped."""
-        dropped = len(self._entries)
-        self._entries.clear()
-        return dropped

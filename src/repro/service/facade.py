@@ -215,7 +215,7 @@ class SACService:
         deadline_ms: Optional[float] = None,
         **params: float,
     ) -> SACResult:
-        """Answer one query, consulting the answer cache first.
+        """Answer one query as a one-query :meth:`submit_batch`.
 
         Raises exactly what :meth:`repro.engine.QueryEngine.search` raises;
         a cache hit returns the previously computed result, which the
@@ -227,24 +227,15 @@ class SACService:
         the budget (see :meth:`submit_batch`); the returned result's
         ``algorithm`` attribute records the rung that answered.
         """
-        if deadline_ms is not None:
-            batch = self.submit_batch(
-                [query], k, algorithm=algorithm, deadline_ms=deadline_ms, **params
-            )
-            query = int(query)
-            if query in batch.results:
-                return batch.results[query]
-            # Unknown vertex / no community: delegate to the engine so the
-            # caller gets exactly the single-query exception semantics.
-            return self.engine.search(query, k, algorithm=algorithm, **params)
-        if self.cache is not None:
-            cached = self.cache.lookup(self.engine, query, k, algorithm, params)
-            if cached is not None:
-                return cached
-        result = self.engine.search(query, k, algorithm=algorithm, **params)
-        if self.cache is not None:
-            self.cache.store(self.engine, query, k, algorithm, params, result)
-        return result
+        batch = self.submit_batch(
+            [query], k, algorithm=algorithm, deadline_ms=deadline_ms, **params
+        )
+        result = batch.results.get(int(query))
+        if result is not None:
+            return result
+        # Unknown vertex / no community / per-query error: delegate to the
+        # engine so the caller gets exactly the single-query exception.
+        return self.engine.search(query, k, algorithm=algorithm, **params)
 
     def submit_batch(
         self,

@@ -12,17 +12,21 @@ component's artifacts (:meth:`repro.engine.QueryEngine.component_version`),
 so after every mutation the registry only has to
 
 1. probe one version counter per **distinct** subscribed ``(k, rep)`` key,
-2. re-evaluate the subscriptions whose counter moved — batched through the
-   planner (:func:`repro.engine.plan.plan_batch` /
-   :func:`repro.engine.plan.execute_group`) so N subscriptions sharing one
-   component cost one candidate fetch, and
+2. re-evaluate the subscriptions whose counter moved — through
+   :meth:`repro.service.SACService.submit_batch`, one call per
+   ``(k, algorithm, params)`` group, so N subscriptions sharing one
+   component cost one candidate fetch and every fresh answer lands in the
+   service's :class:`~repro.service.AnswerCache` (the one store of computed
+   answers: a read after the mutation is a cache hit), and
 3. queue a delta only for subscriptions whose *observable answer* changed
    (identical re-computed answers are suppressed, never delivered).
 
-Representatives are re-resolved on every evaluation pass: after a merge or
-split the subscription is silently re-indexed under its component's fresh
-``(k, rep)`` key, and a vertex that falls out of every k-core (or re-enters
-one) produces a ``found`` transition delta.
+Answers no version guards (``k == 1``, see :func:`repro.service.cache.versioned`)
+stay unkeyed and are re-evaluated on every pass.  Representatives are
+re-resolved on every evaluation pass: after a merge or split the
+subscription is silently re-indexed under its component's fresh ``(k, rep)``
+key, and a vertex that falls out of every k-core (or re-enters one) produces
+a ``found`` transition delta.
 
 Delivery semantics
 ------------------
@@ -37,7 +41,7 @@ Threading contract
 ------------------
 ``register``, ``evaluate``, ``rebind`` and ``expire_idle`` touch the engine
 and MUST run serialized on the daemon's single-writer barrier (the engine
-thread).  ``poll``, ``pending``, ``unsubscribe``, ``touch``, ``ids`` and
+thread).  ``poll``, ``pending``, ``unsubscribe``, ``snapshot`` and
 ``stats_dict`` are safe from any thread (the daemon's event loop calls them
 while mutations run): all queue/state handoff happens under one internal
 lock, held only for dict/deque work — never during a search.
@@ -46,22 +50,27 @@ lock, held only for dict/deque work — never during a search.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from time import monotonic
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.engine.plan import execute_group, plan_batch
+from repro.core.base import validate_query
+from repro.core.result import SACResult
 from repro.exceptions import NoCommunityError
+from repro.service.cache import component_stamp, versioned
 from repro.service.slo import approximation_bound, params_for
 
 __all__ = ["Subscription", "SubscriptionRegistry", "SubscriptionStats"]
 
 ParamsKey = Tuple[Tuple[str, float], ...]
 
+#: One re-evaluated standing query: its answer, ``(k, rep)`` key, version.
+_Answer = Tuple["Subscription", Optional[SACResult], Optional[Tuple[int, int]], int]
+
 
 @dataclass
 class Subscription:
-    """One standing query and its last-observed community state.
+    """One standing query, its delivery state, and its last answer.
 
     Attributes
     ----------
@@ -71,14 +80,16 @@ class Subscription:
         The standing query, in internal vertex indices.
     key:
         The ``(k, representative)`` index key of the component currently
-        answering the query, or ``None`` while the vertex is in no k-core
-        (or immediately after a replica resync, before re-resolution).
+        answering the query, or ``None`` while the vertex is in no k-core,
+        while no version guards the answer (``k == 1``), or immediately
+        after a replica resync, before re-resolution.
     last_version:
         The component artifact version the last evaluation observed
         (:meth:`repro.engine.QueryEngine.component_version`).
-    found / members / radius / center / algorithm_used / bound:
-        The last-observed observable answer; deltas are emitted exactly when
-        a re-evaluation changes any of these.
+    result:
+        The last-observed answer (``None``: no community).  Deltas are
+        emitted exactly when a re-evaluation changes its members, MEC, or
+        ``algorithm_used``, and are diffed against it.
     seq:
         Per-subscription message counter; every queued message (delta or
         resync) carries the next value, so a consumer can detect reordering.
@@ -97,12 +108,7 @@ class Subscription:
     params: Dict[str, float]
     key: Optional[Tuple[int, int]] = None
     last_version: int = -1
-    found: bool = False
-    members: FrozenSet[int] = frozenset()
-    radius: Optional[float] = None
-    center: Optional[Tuple[float, float]] = None
-    algorithm_used: Optional[str] = None
-    bound: Optional[float] = None
+    result: Optional[SACResult] = None
     seq: int = 0
     queue: List[dict] = field(default_factory=list)
     needs_resync: bool = False
@@ -116,7 +122,11 @@ class Subscription:
 
 @dataclass
 class SubscriptionStats:
-    """Registry-lifetime counters, surfaced in the daemon's ``/stats``."""
+    """Registry-lifetime counters, surfaced in the daemon's ``/stats``.
+
+    ``groups_executed`` counts the plan groups the evaluations' batches ran
+    after answer-cache pruning, so a registration the cache answers adds 0.
+    """
 
     registered: int = 0
     unsubscribed: int = 0
@@ -131,22 +141,10 @@ class SubscriptionStats:
     resyncs: int = 0
     evaluation_seconds: float = 0.0
 
-    def as_dict(self) -> Dict[str, float]:
-        """Counters as a plain JSON-ready dict."""
-        return {
-            "registered": self.registered,
-            "unsubscribed": self.unsubscribed,
-            "expired": self.expired,
-            "evaluations": self.evaluations,
-            "subscriptions_evaluated": self.subscriptions_evaluated,
-            "groups_executed": self.groups_executed,
-            "deltas_queued": self.deltas_queued,
-            "deltas_delivered": self.deltas_delivered,
-            "suppressed": self.suppressed,
-            "overflows": self.overflows,
-            "resyncs": self.resyncs,
-            "evaluation_seconds": self.evaluation_seconds,
-        }
+
+def _observable(result: Optional[SACResult]) -> Optional[tuple]:
+    """What a subscriber sees of an answer; a delta fires when it moves."""
+    return None if result is None else (result.members, result.circle, result.algorithm)
 
 
 class SubscriptionRegistry:
@@ -166,7 +164,8 @@ class SubscriptionRegistry:
         than the server's long-poll park timeout — a parked poller counts
         as contact only when its poll *arrives*.
     clock:
-        Injectable monotonic clock (tests).
+        Injectable monotonic clock (tests): idle stamps and
+        ``evaluation_seconds`` are both measured on it.
     """
 
     def __init__(
@@ -199,11 +198,6 @@ class SubscriptionRegistry:
     def __len__(self) -> int:
         return len(self._subs)
 
-    def ids(self) -> List[str]:
-        """Snapshot of the live subscription ids (any thread)."""
-        with self._lock:
-            return list(self._subs)
-
     # ------------------------------------------------- engine-thread surface
     def register(
         self,
@@ -215,37 +209,32 @@ class SubscriptionRegistry:
     ) -> Tuple[Subscription, dict]:
         """Create a subscription and compute its initial community state.
 
-        Runs the query through the planner exactly like a one-query batch
-        (validating ``k``, ``vertex`` and ``algorithm`` the same way), so the
-        returned snapshot is bit-identical to what ``/query`` would answer at
-        this version.  Returns ``(subscription, snapshot_payload)``; the
-        snapshot is the registration response body (minus transport fields).
+        Runs the query as a one-query :meth:`~repro.service.SACService.submit_batch`
+        (validating ``k``, ``vertex`` and ``algorithm`` as a search would),
+        so the returned snapshot is bit-identical to what ``/query`` would
+        answer at this version — and is a cache hit when it already did.
+        Returns ``(subscription, snapshot_payload)``; the snapshot is the
+        registration response body (minus transport fields).
 
         Engine thread only.
         """
-        params = dict(params or {})
-        engine = self._service.engine
-        state = self._evaluate_states(engine, [(vertex,)], k, algorithm, params)[0]
-        if isinstance(state, Exception):
-            raise state
+        validate_query(self._service.graph, vertex, k)
+        sub = Subscription(
+            sub_id="",
+            vertex=int(vertex),
+            k=int(k),
+            algorithm=algorithm,
+            params=dict(params or {}),
+        )
+        _, sub.result, sub.key, sub.last_version = self._answer([sub])[0]
         with self._lock:
             self._next_id += 1
-            sub = Subscription(
-                sub_id=f"sub-{self._next_id}",
-                vertex=int(vertex),
-                k=int(k),
-                algorithm=algorithm,
-                params=params,
-                last_seen=self._clock(),
-            )
-            self._apply_state(sub, state, lsn=None, queue_delta=False)
+            sub.sub_id = f"sub-{self._next_id}"
+            sub.last_seen = self._clock()
             self._subs[sub.sub_id] = sub
-            if sub.key is not None:
-                self._by_key.setdefault(sub.key, set()).add(sub.sub_id)
-            else:
-                self._unkeyed.add(sub.sub_id)
+            self._index(sub)
             self.stats.registered += 1
-            return sub, self._snapshot_message(sub, kind="snapshot")
+            return sub, self._message(sub, "snapshot")
 
     def evaluate(self, *, lsn: Optional[int] = None) -> List[str]:
         """Re-evaluate every subscription whose component version moved.
@@ -253,47 +242,26 @@ class SubscriptionRegistry:
         The post-mutation hook of the daemon's single-writer barrier.  Costs
         one ``component_version`` probe per distinct live ``(k, rep)`` key;
         only moved keys (plus unkeyed subscriptions needing re-resolution)
-        are re-executed, grouped per ``(k, algorithm, params)`` through the
-        batch planner.  Returns the ids of subscriptions that now have a
-        deliverable message (delta queued or resync pending) so the caller
-        can wake their parked pollers.
+        are re-executed, one ``submit_batch`` per ``(k, algorithm, params)``
+        group.  Returns the ids of subscriptions that now have a deliverable
+        message (delta queued or resync pending) so the caller can wake
+        their parked pollers.
 
         Engine thread only.
         """
-        engine = self._service.engine
-        start = monotonic()
-        due = self._collect_due(engine)
+        start = self._clock()
+        due = self._collect_due()
+        answers = self._answer(due)
         woken: List[str] = []
-        if due:
-            groups: Dict[Tuple[int, str, ParamsKey], List[Subscription]] = {}
-            for sub in due:
-                groups.setdefault(
-                    (sub.k, sub.algorithm, sub.params_key()), []
-                ).append(sub)
-            for (k, algorithm, _pkey), subs in sorted(groups.items()):
-                states = self._evaluate_states(
-                    engine,
-                    [(sub.vertex,) for sub in subs],
-                    k,
-                    algorithm,
-                    subs[0].params,
-                )
-                with self._lock:
-                    for sub, state in zip(subs, states):
-                        if sub.sub_id not in self._subs:
-                            continue  # unsubscribed while we computed
-                        if isinstance(state, Exception):
-                            continue  # defensive; vertex validated at register
-                        old_key = sub.key
-                        delivered = self._apply_state(
-                            sub, state, lsn=lsn, queue_delta=True
-                        )
-                        self._reindex(sub, old_key)
-                        if delivered:
-                            woken.append(sub.sub_id)
+        with self._lock:
+            for sub, result, key, version in answers:
+                if sub.sub_id not in self._subs:
+                    continue  # unsubscribed while we computed
+                if self._install(sub, result, key, version, lsn):
+                    woken.append(sub.sub_id)
         self.stats.evaluations += 1
         self.stats.subscriptions_evaluated += len(due)
-        self.stats.evaluation_seconds += monotonic() - start
+        self.stats.evaluation_seconds += self._clock() - start
         return woken
 
     def rebind(self, service) -> None:
@@ -327,7 +295,7 @@ class SubscriptionRegistry:
         with self._lock:
             stale = [s.sub_id for s in self._subs.values() if s.last_seen < cutoff]
             for sub_id in stale:
-                self._drop(sub_id)
+                self._unindex(self._subs.pop(sub_id))
                 self.stats.expired += 1
         return stale
 
@@ -337,7 +305,7 @@ class SubscriptionRegistry:
         with self._lock:
             if sub_id not in self._subs:
                 return False
-            self._drop(sub_id)
+            self._unindex(self._subs.pop(sub_id))
             self.stats.unsubscribed += 1
             return True
 
@@ -366,7 +334,7 @@ class SubscriptionRegistry:
                 sub.needs_resync = False
                 sub.seq += 1
                 self.stats.resyncs += 1
-                messages.append(self._snapshot_message(sub, kind="resync"))
+                messages.append(self._message(sub, "resync"))
             take = len(sub.queue) if limit is None else max(0, int(limit))
             if take:
                 messages.extend(sub.queue[:take])
@@ -374,38 +342,32 @@ class SubscriptionRegistry:
             self.stats.deltas_delivered += len(messages)
             return messages
 
-    def touch(self, sub_id: str) -> None:
-        """Refresh the idle-GC stamp (streaming delivery counts as contact)."""
-        with self._lock:
-            sub = self._subs.get(sub_id)
-            if sub is not None:
-                sub.last_seen = self._clock()
-
     def snapshot(self, sub_id: str) -> dict:
         """The subscription's current full state as a snapshot message."""
         with self._lock:
             sub = self._subs.get(sub_id)
             if sub is None:
                 raise KeyError(sub_id)
-            return self._snapshot_message(sub, kind="snapshot")
+            return self._message(sub, "snapshot")
 
     def stats_dict(self) -> Dict[str, float]:
         """JSON-ready stats block for the daemon's ``/stats``."""
         with self._lock:
-            payload = self.stats.as_dict()
+            payload = asdict(self.stats)
             payload["active"] = len(self._subs)
             payload["queued"] = sum(len(s.queue) for s in self._subs.values())
             payload["backlog"] = self._backlog
             return payload
 
     # -------------------------------------------------------------- internals
-    def _collect_due(self, engine) -> List[Subscription]:
+    def _collect_due(self) -> List[Subscription]:
         """Subscriptions whose answer may have changed since last observed.
 
         One ``component_version`` probe per distinct ``(k, rep)`` bucket —
         the whole keyed population of an untouched component is skipped
         without ever looking at the individual subscriptions.
         """
+        engine = self._service.engine
         with self._lock:
             buckets = {
                 key: [self._subs[i] for i in ids]
@@ -417,7 +379,7 @@ class SubscriptionRegistry:
             version = engine.component_version(*key)
             due.extend(sub for sub in subs if sub.last_version != version)
         for sub in unkeyed:
-            if not sub.found:
+            if sub.result is None:
                 # Still community-less unless the vertex re-entered a
                 # k-core; probe the labelling instead of planning.
                 try:
@@ -427,110 +389,56 @@ class SubscriptionRegistry:
             due.append(sub)
         return due
 
-    def _evaluate_states(
-        self,
-        engine,
-        vertices: List[Tuple[int]],
-        k: int,
-        algorithm: str,
-        params: Dict[str, float],
-    ) -> List[object]:
-        """Batch-execute the standing queries; one state tuple per vertex.
+    def _answer(self, subs: List[Subscription]) -> List[_Answer]:
+        """Answer the standing queries through the service's batch pipeline.
 
-        Returns, aligned with ``vertices``, either an exception (invalid
-        vertex) or a state tuple ``(found, members, radius, center,
-        algorithm_used, key, version)``.  Shared-component subscriptions ride
-        one :class:`repro.engine.plan.PlanGroup` and hence one candidate
-        fetch, which is the whole point of batching here.
+        One :meth:`~repro.service.SACService.submit_batch` per ``(k,
+        algorithm, params)`` group — shared-component subscriptions ride one
+        plan group, cached answers skip execution, fresh ones are cached.
+        Each answer's ``(k, rep)`` key and version are resolved after the
+        call; an answer no version guards stays unkeyed.
         """
-        flat = [v[0] for v in vertices]
-        plan = plan_batch(engine, flat, k, algorithm=algorithm, params=params)
-        errors: Dict[int, str] = {}
-        failed: List[int] = []
-        results = {}
-        for group in plan.groups:
-            results.update(
-                execute_group(engine, plan, group, errors=errors, failed=failed)
+        engine = self._service.engine
+        groups: Dict[Tuple[int, str, ParamsKey], List[Subscription]] = {}
+        for sub in subs:
+            groups.setdefault((sub.k, sub.algorithm, sub.params_key()), []).append(sub)
+        answers: List[_Answer] = []
+        for (k, algorithm, _pkey), members in sorted(groups.items()):
+            batch = self._service.submit_batch(
+                [sub.vertex for sub in members], k, algorithm=algorithm, **members[0].params
             )
-            self.stats.groups_executed += 1
-        group_info = {
-            (k, group.representative): group.version for group in plan.groups
-        }
-        states: List[object] = []
-        for vertex in flat:
-            if vertex in plan.errors:
-                states.append(plan.errors[vertex])
-                continue
-            result = results.get(vertex)
-            if result is None:
-                # In no k-core (planned into `failed`, or the community
-                # evaporated between planning and execution).
-                states.append((False, frozenset(), None, None, None, None, -1))
-                continue
-            try:
-                component, rep = engine.component_of(vertex, k)
-                key = (k, rep)
-                version = group_info.get(key)
-                if version is None:
-                    version = engine.component_version(k, rep)
-            except NoCommunityError:  # pragma: no cover - raced evaporation
+            self.stats.groups_executed += batch.plan_groups
+            for sub in members:
+                result = batch.results.get(sub.vertex)
                 key, version = None, -1
-            states.append(
-                (
-                    True,
-                    frozenset(int(m) for m in result.members),
-                    float(result.radius),
-                    (
-                        float(result.circle.center.x),
-                        float(result.circle.center.y),
-                    ),
-                    result.algorithm,
-                    key,
-                    int(version),
-                )
-            )
-        return states
+                if result is not None and versioned(k):
+                    representative, version = component_stamp(engine, sub.vertex, k)
+                    key = (k, representative)
+                answers.append((sub, result, key, version))
+        return answers
 
-    def _apply_state(
-        self, sub: Subscription, state, *, lsn: Optional[int], queue_delta: bool
+    def _install(
+        self,
+        sub: Subscription,
+        result: Optional[SACResult],
+        key: Optional[Tuple[int, int]],
+        version: int,
+        lsn: Optional[int],
     ) -> bool:
-        """Install a freshly computed state; queue a delta if it changed.
+        """Install a re-evaluated answer; queue a delta if it changed.
 
         Caller holds the lock.  Returns ``True`` when the subscription now
         has a deliverable message (new delta or overflow-triggered resync).
         """
-        found, members, radius, center, algorithm_used, key, version = state
-        changed = (
-            found != sub.found
-            or members != sub.members
-            or radius != sub.radius
-            or center != sub.center
-            or algorithm_used != sub.algorithm_used
-        )
-        added = sorted(members - sub.members)
-        removed = sorted(sub.members - members)
-        sub.found = found
-        sub.members = members
-        sub.radius = radius
-        sub.center = center
-        sub.algorithm_used = algorithm_used
-        sub.bound = (
-            approximation_bound(
-                algorithm_used, params_for(algorithm_used, dict(sub.params))
-            )
-            if algorithm_used is not None
-            else None
-        )
-        sub.key = key
-        sub.last_version = version
+        previous = sub.result
+        self._unindex(sub)
+        sub.result, sub.key, sub.last_version = result, key, version
+        self._index(sub)
         if lsn is not None:
             sub.lsn = lsn
-        if not changed:
-            if queue_delta:
-                self.stats.suppressed += 1
+        if _observable(result) == _observable(previous):
+            self.stats.suppressed += 1
             return bool(sub.queue) or sub.needs_resync
-        if not queue_delta:
-            return False
         if sub.needs_resync:
             # Already in resync mode: the eventual snapshot covers this
             # change too, nothing further to queue.
@@ -541,75 +449,58 @@ class SubscriptionRegistry:
             self.stats.overflows += 1
             return True
         sub.seq += 1
-        graph = self._service.graph
-        sub.queue.append(
-            {
-                "type": "delta",
-                "id": sub.sub_id,
-                "seq": sub.seq,
-                "found": sub.found,
-                "query": graph.label_of(sub.vertex),
-                "k": sub.k,
-                "added": [graph.label_of(v) for v in added],
-                "removed": [graph.label_of(v) for v in removed],
-                "size": len(sub.members),
-                "radius": sub.radius,
-                "center": list(sub.center) if sub.center is not None else None,
-                "algorithm_used": sub.algorithm_used,
-                "bound": sub.bound,
-                "version": sub.last_version,
-                "lsn": sub.lsn,
-            }
-        )
+        sub.queue.append(self._message(sub, "delta", previous))
         self.stats.deltas_queued += 1
         return True
 
-    def _snapshot_message(self, sub: Subscription, *, kind: str) -> dict:
-        """Full-state message (registration response body or resync)."""
+    def _message(
+        self, sub: Subscription, kind: str, previous: Optional[SACResult] = None
+    ) -> dict:
+        """One wire message: a full-state ``snapshot``/``resync``, or a ``delta``
+        listing the members added and removed since ``previous``.  Lock held."""
         graph = self._service.graph
-        return {
+        result = sub.result
+        found = result is not None
+        members = result.members if found else frozenset()
+        center = result.circle.center if found else None
+        message = {
             "type": kind,
             "id": sub.sub_id,
             "seq": sub.seq,
-            "found": sub.found,
+            "found": found,
             "query": graph.label_of(sub.vertex),
             "k": sub.k,
-            "algorithm": sub.algorithm,
-            "size": len(sub.members),
-            "members": [graph.label_of(v) for v in sorted(sub.members)],
-            "radius": sub.radius,
-            "center": list(sub.center) if sub.center is not None else None,
-            "algorithm_used": sub.algorithm_used,
-            "bound": sub.bound,
+            "size": len(members),
+            "radius": float(result.radius) if found else None,
+            "center": [float(center.x), float(center.y)] if found else None,
+            "algorithm_used": result.algorithm if found else None,
+            "bound": approximation_bound(
+                result.algorithm, params_for(result.algorithm, dict(sub.params))
+            )
+            if found
+            else None,
             "version": sub.last_version,
             "lsn": sub.lsn,
         }
+        if kind == "delta":
+            before = previous.members if previous is not None else frozenset()
+            message["added"] = [graph.label_of(v) for v in sorted(members - before)]
+            message["removed"] = [graph.label_of(v) for v in sorted(before - members)]
+        else:
+            message["algorithm"] = sub.algorithm
+            message["members"] = [graph.label_of(v) for v in sorted(members)]
+        return message
 
-    def _reindex(self, sub: Subscription, old_key: Optional[Tuple[int, int]]) -> None:
-        """Move the subscription between ``(k, rep)`` buckets.  Lock held."""
-        if old_key == sub.key:
-            return
-        if old_key is not None:
-            bucket = self._by_key.get(old_key)
-            if bucket is not None:
-                bucket.discard(sub.sub_id)
-                if not bucket:
-                    del self._by_key[old_key]
-        else:
-            self._unkeyed.discard(sub.sub_id)
-        if sub.key is not None:
-            self._by_key.setdefault(sub.key, set()).add(sub.sub_id)
-        else:
+    def _index(self, sub: Subscription) -> None:
+        """File the subscription under its ``(k, rep)`` key.  Lock held."""
+        if sub.key is None:
             self._unkeyed.add(sub.sub_id)
-
-    def _drop(self, sub_id: str) -> None:
-        """Remove a subscription from both indexes.  Lock held."""
-        sub = self._subs.pop(sub_id)
-        if sub.key is not None:
-            bucket = self._by_key.get(sub.key)
-            if bucket is not None:
-                bucket.discard(sub_id)
-                if not bucket:
-                    del self._by_key[sub.key]
         else:
-            self._unkeyed.discard(sub_id)
+            self._by_key.setdefault(sub.key, set()).add(sub.sub_id)
+
+    def _unindex(self, sub: Subscription) -> None:
+        """Take the subscription out of whichever index holds it.  Lock held."""
+        bucket = self._unkeyed if sub.key is None else self._by_key.get(sub.key, set())
+        bucket.discard(sub.sub_id)
+        if sub.key is not None and not bucket:
+            self._by_key.pop(sub.key, None)

@@ -14,6 +14,9 @@ The contract pinned here, from ``docs/serving.md``:
 * **no spurious delta** — an evaluation pass that leaves the observable
   answer unchanged delivers nothing, and mutations in *other* components
   never even re-execute the subscription (dirty-set precision);
+* **one answer store** — re-evaluation rides ``SACService.submit_batch``,
+  so a read after a mutation on a subscribed vertex is a cache hit, and
+  unversioned ``k = 1`` subscriptions re-evaluate on every pass;
 * **soak/chaos** — long-poll and streaming subscribers held open across
   writer compaction, replica kill, and server drain always end with a
   final message or a clean resync, never a hang or a torn chunk, and a
@@ -67,10 +70,10 @@ def base_graph():
     return brightkite_like(num_vertices=300, seed=7)
 
 
-def _fresh_oracle(engine, graph, vertex):
+def _fresh_oracle(engine, graph, vertex, k=SUB_K):
     """Re-query the live engine; the observable answer a mirror must hold."""
     try:
-        result = engine.search(vertex, SUB_K, algorithm="appfast", **EPS)
+        result = engine.search(vertex, k, algorithm="appfast", **EPS)
     except NoCommunityError:
         return None
     return {
@@ -152,16 +155,20 @@ def _operations(num_vertices):
 
 
 class TestDifferentialConformance:
-    """The hypothesis harness: random interleavings vs the re-query oracle."""
+    """The hypothesis harness: random interleavings vs the re-query oracle.
+
+    ``k`` is drawn too: ``k = 1`` answers carry no component version, so
+    they exercise the re-evaluate-every-pass path of unversioned answers.
+    """
 
     @settings(
-        max_examples=25,
+        max_examples=50,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
-    @given(ops=_operations(60))
+    @given(ops=_operations(60), k=st.sampled_from([SUB_K, 1]))
     def test_every_delivered_message_matches_a_fresh_requery(
-        self, small_graph, ops
+        self, small_graph, ops, k
     ):
         service = SACService(engine=IncrementalEngine(small_graph.mutable_copy()))
         registry = SubscriptionRegistry(service, backlog=1_000)
@@ -178,7 +185,7 @@ class TestDifferentialConformance:
             for message in messages:
                 mirror.apply(message)
             mirror.assert_matches(
-                _fresh_oracle(engine, graph, vertex), context
+                _fresh_oracle(engine, graph, vertex, k), context
             )
             mirrors[sub_id] = (mirror, vertex, 0)
 
@@ -201,11 +208,11 @@ class TestDifferentialConformance:
                 evaluate()
             elif kind == "subscribe":
                 sub, snapshot = registry.register(
-                    op[1], SUB_K, algorithm="appfast", params=dict(EPS)
+                    op[1], k, algorithm="appfast", params=dict(EPS)
                 )
                 mirror = _Mirror(snapshot)
                 mirror.assert_matches(
-                    _fresh_oracle(engine, graph, op[1]), (step, "snapshot")
+                    _fresh_oracle(engine, graph, op[1], k), (step, "snapshot")
                 )
                 mirrors[sub.sub_id] = (mirror, op[1], 0)
                 order.append(sub.sub_id)
@@ -300,6 +307,66 @@ class TestDirtySetPrecision:
             _fresh_oracle(service.engine, service.graph, mine)
         )
         assert registry.stats.overflows >= 1
+
+
+class _SteppedClock:
+    """A fake monotonic clock that advances ``step`` seconds per reading."""
+
+    def __init__(self, step):
+        self.step = step
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += self.step
+        return self.now
+
+
+class TestSharedAnswerStore:
+    """Standing queries answer through ``submit_batch`` and its answer cache."""
+
+    def test_k1_subscription_sees_its_nearest_neighbour_move(self, small_graph):
+        """``k = 1`` answers carry no version, so every pass re-evaluates them."""
+        service = SACService(engine=IncrementalEngine(small_graph.mutable_copy()))
+        registry = SubscriptionRegistry(service)
+        sub, snapshot = registry.register(0, 1)
+        assert snapshot["members"] == [0, 58]
+        # 58 moves away: 0's nearest neighbour, and so its community, changes.
+        service.engine.apply_checkin(58, 0.999, 0.999)
+        fresh = service.engine.search(0, 1)
+        assert sorted(fresh.members) == [0, 53]
+        assert registry.evaluate() == [sub.sub_id]
+        [delta] = registry.poll(sub.sub_id)
+        assert (delta["added"], delta["removed"]) == ([53], [58])
+        assert registry.snapshot(sub.sub_id)["members"] == [0, 53]
+
+    def test_read_after_write_on_a_subscribed_vertex_is_a_cache_hit(
+        self, small_graph
+    ):
+        service = SACService(engine=IncrementalEngine(small_graph.mutable_copy()))
+        registry = SubscriptionRegistry(service)
+        vertex = next(
+            v
+            for v in range(service.graph.num_vertices)
+            if service.engine.core_numbers()[v] >= SUB_K
+        )
+        registry.register(vertex, SUB_K, algorithm="appfast", params=EPS)
+        service.apply_checkin(vertex, 0.42, 0.58)
+        registry.evaluate()
+        assert registry.stats.subscriptions_evaluated == 1
+        # The re-evaluation stored the post-mutation answer in the service's
+        # cache, so the next read of the same query never executes.
+        read = service.submit_batch([vertex], SUB_K, algorithm="appfast", **EPS)
+        assert read.cache_hits == 1
+        assert read.plan_groups == 0
+
+    def test_evaluation_seconds_runs_on_the_injected_clock(self, small_graph):
+        service = SACService(engine=IncrementalEngine(small_graph.mutable_copy()))
+        clock = _SteppedClock(2.5)
+        registry = SubscriptionRegistry(service, clock=clock)
+        registry.register(0, SUB_K, algorithm="appfast", params=EPS)
+        registry.evaluate()
+        # One reading when the pass starts, one when it ends: exactly one step.
+        assert registry.stats.evaluation_seconds == 2.5
 
 
 class TestSoakAndChaos:
