@@ -2,13 +2,15 @@
 
 Replays the Figure-13 workload — a synthetic check-in stream over the
 Brightkite stand-in, re-querying the most mobile users' communities at each
-of their check-ins — through both :class:`repro.dynamic.SACTracker` paths:
+of their check-ins — two ways:
 
-* **incremental** (default): one :class:`repro.engine.IncrementalEngine`
-  absorbs every check-in in place; the core decomposition, k-ĉore labelling,
-  and per-component artifacts are built once and patched as locations move;
-* **rebuild**: every tracked check-in materialises a coordinate snapshot and
-  rebuilds all per-graph state from scratch (the pre-incremental behaviour).
+* **incremental**: :class:`repro.dynamic.SACTracker`, where one
+  :class:`repro.engine.IncrementalEngine` absorbs every check-in in place;
+  the core decomposition, k-ĉore labelling, and per-component artifacts are
+  built once and patched as locations move;
+* **rebuild**: :func:`repro.testing.oracle.oracle_timelines`, where every
+  tracked check-in materialises a coordinate snapshot and rebuilds all
+  per-graph state from scratch (the pre-incremental behaviour).
 
 Verifies the two paths produce bit-identical timelines (same member sets,
 same MCC radii and centres, same timestamps) and that the incremental path
@@ -38,6 +40,7 @@ from repro.datasets.geosocial import CheckinGenerator, TravelProfile, brightkite
 from repro.dynamic.evaluation import select_mobile_queries
 from repro.dynamic.stream import LocationStream
 from repro.dynamic.tracker import SACTracker
+from repro.testing.oracle import oracle_timelines
 
 
 def _timelines_identical(first, second) -> bool:
@@ -87,15 +90,18 @@ def run_benchmark(
         best = float("inf")
         timelines = None
         for _ in range(repeats):
-            tracker = SACTracker(
-                LocationStream(graph, checkins),
-                k,
-                algorithm="appfast",
-                algorithm_params={"epsilon_f": epsilon_f},
-                incremental=incremental,
-            )
-            start = time.perf_counter()
-            timelines = tracker.track(queries)
+            stream = LocationStream(graph, checkins)
+            if incremental:
+                tracker = SACTracker(
+                    stream, k, algorithm="appfast", algorithm_params={"epsilon_f": epsilon_f}
+                )
+                start = time.perf_counter()
+                timelines = tracker.track(queries)
+            else:
+                start = time.perf_counter()
+                timelines = oracle_timelines(
+                    stream, queries, k, algorithm="appfast", epsilon_f=epsilon_f
+                )
             best = min(best, time.perf_counter() - start)
         return timelines, best
 

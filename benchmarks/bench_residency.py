@@ -142,20 +142,22 @@ def _digest_result(hasher, query, result):
 def run_child(store: str, trace_path: str, budget: int) -> int:
     """One serving process: replay the trace at one budget, report JSON."""
     from repro.engine import QueryEngine
+    from repro.service import SACService
 
     trace = np.load(trace_path)
     base_rss = peak_rss_mb() or 0.0
     engine = QueryEngine.from_store(store, max_resident_bytes=budget or None)
+    service = SACService(engine=engine, use_cache=False)
     hasher = hashlib.sha256()
     peak_resident = 0
     start = time.perf_counter()
     for begin in range(0, trace.size, BATCH):
         batch = [int(v) for v in trace[begin : begin + BATCH]]
-        results = engine.search_many(
+        results = service.submit_batch(
             batch, K, algorithm=ALGORITHM, epsilon_f=EPSILON_F
-        )
+        ).results
         for query in batch:
-            _digest_result(hasher, query, results[query])
+            _digest_result(hasher, query, results.get(query))
         peak_resident = max(peak_resident, engine.stats.resident_bytes)
     elapsed = time.perf_counter() - start
     report = {

@@ -20,9 +20,10 @@ rounds; the benchmark prints whether the ≥2× service target was met.
 
 An **overlap sweep** mode (``--overlap-sweep``) measures the factorised
 batch planner instead: the same base queries are duplicated 1×/2×/4×/8× and
-answered through ``QueryEngine.search_many`` and through a loop of
-``QueryEngine.search`` on a warmed engine.  The per-query loop pays every
-duplicate; the planner answers each distinct query once and shares each
+answered through ``SACService.submit_batch`` (no answer cache) and through
+a loop of ``QueryEngine.search`` on a warmed engine.  The per-query loop
+pays every duplicate; the planner answers each distinct query once and
+shares each
 ``(component, k)`` group's candidate artifacts and distance matrix, so its
 per-query cost drops superlinearly with overlap (speedup at factor *f*
 exceeds *f*).  The sweep re-checks bit-identity across the planned,
@@ -201,10 +202,11 @@ def run_overlap_sweep(
         return [], True, {}, False
 
     planned_engine = QueryEngine(graph)
+    planned_service = SACService(engine=planned_engine, use_cache=False)
     serial_engine = QueryEngine(graph)
     # Warm both engines on the base batch so the sweep times query
     # answering, not the one-off core decomposition and bundle builds.
-    planned_engine.search_many(base, k, algorithm="appfast", epsilon_f=epsilon_f)
+    planned_service.submit_batch(base, k, algorithm="appfast", epsilon_f=epsilon_f)
     for query in base:
         serial_engine.search(query, k, algorithm="appfast", epsilon_f=epsilon_f)
     executor = ShardedExecutor(QueryEngine(graph), workers=workers)
@@ -217,9 +219,9 @@ def run_overlap_sweep(
         batch = [query for _ in range(factor) for query in base]
 
         start = time.perf_counter()
-        planned = planned_engine.search_many(
+        planned = planned_service.submit_batch(
             batch, k, algorithm="appfast", epsilon_f=epsilon_f
-        )
+        ).results
         planned_time = time.perf_counter() - start
 
         start = time.perf_counter()

@@ -21,8 +21,9 @@ from repro.core import app_fast
 from repro.datasets import brightkite_like
 from repro.exceptions import NoCommunityError
 from repro.experiments import format_table, select_query_vertices
-from repro.extensions import BatchSACProcessor, pairwise_sac_search, truss_sac_search
+from repro.extensions import pairwise_sac_search, truss_sac_search
 from repro.metrics import average_pairwise_distance, minimum_degree
+from repro.service import SACService
 
 
 def main() -> None:
@@ -55,9 +56,8 @@ def main() -> None:
 
     # ------------------------------------------------------------- 2. batch
     print("2. Batch processing of the whole query workload")
-    processor = BatchSACProcessor(graph, k=4, algorithm="appfast",
-                                  algorithm_params={"epsilon_f": 0.5})
-    batch = processor.run(queries)
+    service = SACService(graph, use_cache=False)
+    batch = service.submit_batch(queries, 4, algorithm="appfast", epsilon_f=0.5)
     print(
         f"   answered {batch.answered}/{len(queries)} queries in "
         f"{batch.elapsed_seconds:.2f}s "

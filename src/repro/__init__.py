@@ -30,11 +30,12 @@ Public surface
 * :class:`repro.IncrementalEngine` — the dynamic variant: applies check-ins
   and edge updates to its bound graph in place and repairs the caches
   incrementally instead of rebuilding them.
-* :class:`repro.BatchSACProcessor` — engine-backed batch query processing.
-* :class:`repro.SACService` — the serving layer: sharded parallel batch
-  execution over a process pool plus a persistent, component-version
-  invalidated answer cache (:class:`repro.ShardedExecutor`,
-  :class:`repro.AnswerCache`); ``save``/``open`` persist it through the
+* :class:`repro.SACService` — the serving layer and the one batch entry
+  point: :meth:`~repro.SACService.submit_batch` plans a batch once and
+  answers it with sharded parallel execution over a process pool plus a
+  persistent, component-version invalidated answer cache
+  (:class:`repro.ShardedExecutor`, :class:`repro.AnswerCache`), returning
+  a :class:`repro.BatchResult`; ``save``/``open`` persist it through the
   artifact store.
 * :class:`repro.ArtifactStore` — the storage layer: snapshot a graph plus
   every engine artifact to disk, reopen memory-mapped, warm-start engines
@@ -66,8 +67,7 @@ from repro.core import (
     theta_sac,
 )
 from repro.engine import EngineStats, IncrementalEngine, QueryEngine
-from repro.extensions.batch import BatchResult, BatchSACProcessor
-from repro.service import AnswerCache, SACService, ShardedExecutor
+from repro.service import AnswerCache, BatchResult, SACService, ShardedExecutor
 from repro.exceptions import (
     DatasetError,
     GraphConstructionError,
@@ -80,7 +80,7 @@ from repro.graph import GraphBuilder, SpatialGraph
 from repro.server import SACClient, SACServer, ServerConfig
 from repro.store import ArtifactStore
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -91,7 +91,6 @@ __all__ = [
     "QueryEngine",
     "IncrementalEngine",
     "EngineStats",
-    "BatchSACProcessor",
     "BatchResult",
     "SACService",
     "ShardedExecutor",

@@ -8,13 +8,12 @@ Three subcommands cover the common workflows of a downstream user:
 
 ``query``
     Load a graph (``.npz``) and run one SAC query with any of the algorithms,
-    printing the member list and the covering circle.  Served through the
-    shared-preprocessing engine unless ``--no-engine`` is given.
+    printing the member list and the covering circle.
 
 ``batch``
-    Run many SAC queries through the :class:`repro.engine.QueryEngine`-backed
-    batch processor, sharing the per-graph preprocessing, and print a
-    throughput summary.
+    Run many SAC queries as one batch through
+    :meth:`repro.service.SACService.submit_batch`, sharing the per-graph
+    preprocessing, and print every answer plus a throughput summary.
 
 ``serve-batch``
     Run repeated batches through the full serving layer
@@ -25,9 +24,8 @@ Three subcommands cover the common workflows of a downstream user:
 ``track``
     Replay a check-in stream (from a file, or synthesised on the fly) and
     re-run SAC search for tracked users at each of their check-ins — the
-    paper's dynamic scenario (Figure 13).  Served through the
-    :class:`repro.engine.IncrementalEngine` unless ``--no-incremental`` is
-    given, in which case every tracked check-in rebuilds all per-graph state.
+    paper's dynamic scenario (Figure 13).  One
+    :class:`repro.engine.IncrementalEngine` absorbs every check-in in place.
 
 ``snapshot``
     Build every per-graph artifact (core decomposition, k-ĉore labellings,
@@ -77,7 +75,6 @@ from repro.datasets.geosocial import brightkite_like
 from repro.datasets.synthetic import powerlaw_spatial_graph
 from repro.engine import IncrementalEngine, QueryEngine
 from repro.exceptions import InvalidParameterError, ReproError
-from repro.extensions.batch import BatchSACProcessor
 from repro.graph.io import load_graph_npz, save_graph_npz
 from repro.graph.stats import summarize
 
@@ -106,11 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("--epsilon-f", type=float, default=0.5, help="AppFast slack")
     query.add_argument("--epsilon-a", type=float, default=0.5, help="AppAcc / Exact+ accuracy")
-    query.add_argument(
-        "--no-engine",
-        action="store_true",
-        help="rebuild all per-graph state for the query instead of using the shared engine",
-    )
 
     snapshot = subparsers.add_parser(
         "snapshot",
@@ -404,12 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     track.add_argument("--epsilon-f", type=float, default=0.5, help="AppFast slack")
     track.add_argument("--epsilon-a", type=float, default=0.5, help="AppAcc / Exact+ accuracy")
     track.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="rebuild all per-graph state at every tracked check-in instead of "
-        "repairing one incremental engine in place",
-    )
-    track.add_argument(
         "--generate-users",
         type=int,
         default=500,
@@ -532,11 +518,7 @@ def _algorithm_params(args: argparse.Namespace) -> dict:
 
 def _command_query(args: argparse.Namespace) -> int:
     graph = load_graph_npz(args.graph)
-    searcher = SACSearcher(
-        graph,
-        default_algorithm=args.algorithm,
-        share_preprocessing=not args.no_engine,
-    )
+    searcher = SACSearcher(graph, default_algorithm=args.algorithm)
     params = _algorithm_params(args)
     result = searcher.search(args.vertex, args.k, algorithm=args.algorithm, **params)
     if result is None:
@@ -574,17 +556,14 @@ def _batch_queries(args: argparse.Namespace, graph) -> list:
 
 
 def _command_batch(args: argparse.Namespace) -> int:
+    from repro.service import SACService
+
     engine = _load_engine(args, QueryEngine)
     graph = engine.graph
-    processor = BatchSACProcessor(
-        graph,
-        args.k,
-        algorithm=args.algorithm,
-        algorithm_params=_algorithm_params(args),
-        engine=engine,
-    )
     queries = _batch_queries(args, graph)
-    batch = processor.run(queries)
+    batch = SACService(engine=engine, use_cache=False).submit_batch(
+        queries, args.k, algorithm=args.algorithm, **_algorithm_params(args)
+    )
     print(f"algorithm      : {args.algorithm} (k={args.k})")
     print(f"queries        : {len(queries)} ({batch.answered} answered, {len(batch.failed)} without community)")
     print(f"total time     : {batch.elapsed_seconds:.4f}s")
@@ -905,27 +884,24 @@ def _command_track(args: argparse.Namespace) -> int:
         args.k,
         algorithm=args.algorithm,
         algorithm_params=_algorithm_params(args),
-        incremental=not args.no_incremental,
-        engine=engine if not args.no_incremental else None,
+        engine=engine,
     )
     start = time.perf_counter()
     timelines = tracker.track(tracked)
     elapsed = time.perf_counter() - start
 
     total_queries = sum(len(snapshots) for snapshots in timelines.values())
-    mode = "rebuild-per-checkin" if args.no_incremental else "incremental"
-    print(f"algorithm      : {args.algorithm} (k={args.k}, {mode})")
+    print(f"algorithm      : {args.algorithm} (k={args.k}, incremental)")
     print(f"check-ins      : {len(checkins)} replayed, {total_queries} tracked queries")
     print(f"total time     : {elapsed:.4f}s")
     if elapsed > 0:
         print(f"replay rate    : {len(checkins) / elapsed:.1f} check-ins/s")
-    if tracker.last_engine is not None:
-        stats = tracker.last_engine.stats
-        print(
-            f"engine         : {stats.bundles_patched} bundle patches, "
-            f"{stats.components_materialised} bundles built, "
-            f"{stats.core_decompositions} core decomposition(s)"
-        )
+    stats = tracker.last_engine.stats
+    print(
+        f"engine         : {stats.bundles_patched} bundle patches, "
+        f"{stats.components_materialised} bundles built, "
+        f"{stats.core_decompositions} core decomposition(s)"
+    )
     for user in sorted(timelines):
         snapshots = timelines[user]
         found = [snap for snap in snapshots if snap.found]

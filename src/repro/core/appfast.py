@@ -59,7 +59,7 @@ def app_fast(
         stats record ``delta`` (final feasible query-centred radius),
         ``gamma`` (MCC radius), and ``binary_search_iterations``.
     """
-    if epsilon_f < 0:
+    if not epsilon_f >= 0:  # also refuses NaN
         raise InvalidParameterError(f"epsilon_f must be non-negative, got {epsilon_f}")
     validate_query(graph, query, k)
     if k == 1:

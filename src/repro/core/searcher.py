@@ -5,12 +5,12 @@ to internal indices, dispatches to any of the algorithms by name, and can
 return ``None`` instead of raising when a query has no community — the
 behaviour most applications want.
 
-By default the searcher answers queries through a shared
+The searcher answers queries through a shared
 :class:`repro.engine.QueryEngine`, so the per-graph preprocessing (core
 decomposition, k-ĉore component labelling, per-component spatial indexes) is
-paid once and reused across every query.  Results are bit-identical to the
-per-query path; pass ``share_preprocessing=False`` to force the legacy
-behaviour of rebuilding everything per query.
+paid once and reused across every query, with results bit-identical to
+running the algorithm directly.  Batches go through
+:meth:`repro.service.SACService.submit_batch`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.graph.spatial_graph import Label, SpatialGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine import QueryEngine
-    from repro.extensions.batch import BatchResult
 
 #: Registry of algorithm names accepted by :meth:`SACSearcher.search`.
 ALGORITHMS: Dict[str, Callable] = {
@@ -52,11 +51,6 @@ class SACSearcher:
         Algorithm used when :meth:`search` is called without one.  The paper's
         guidance: ``exact+`` for moderate-size graphs, ``appfast`` or
         ``appacc`` for graphs with millions of vertices.
-    share_preprocessing:
-        When ``True`` (default) queries are served through a cached
-        :class:`repro.engine.QueryEngine`; set to ``False`` to rebuild all
-        per-graph state on every query (the seed behaviour — only useful for
-        benchmarking the engine against it).
 
     Examples
     --------
@@ -66,20 +60,13 @@ class SACSearcher:
     ['alice', 'bob', 'carol', 'dave', 'eve']
     """
 
-    def __init__(
-        self,
-        graph: SpatialGraph,
-        default_algorithm: str = "appfast",
-        *,
-        share_preprocessing: bool = True,
-    ) -> None:
+    def __init__(self, graph: SpatialGraph, default_algorithm: str = "appfast") -> None:
         if default_algorithm not in ALGORITHMS:
             raise InvalidParameterError(
                 f"unknown algorithm {default_algorithm!r}; choose from {sorted(ALGORITHMS)}"
             )
         self.graph = graph
         self.default_algorithm = default_algorithm
-        self.share_preprocessing = share_preprocessing
         self._engine: Optional["QueryEngine"] = None
 
     @property
@@ -119,66 +106,15 @@ class SACSearcher:
             Extra algorithm parameters (``epsilon_f`` for AppFast,
             ``epsilon_a`` for AppAcc / Exact+).
         """
-        name = algorithm or self.default_algorithm
-        if name not in ALGORITHMS:
-            raise InvalidParameterError(
-                f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}"
-            )
         index = self.graph.index_of(query)
         try:
-            if self.share_preprocessing:
-                return self.engine.search(index, k, algorithm=name, **params)
-            return ALGORITHMS[name](self.graph, index, k, **params)
+            return self.engine.search(
+                index, k, algorithm=algorithm or self.default_algorithm, **params
+            )
         except NoCommunityError:
             if missing_ok:
                 return None
             raise
-
-    def search_batch(
-        self,
-        queries,
-        k: int,
-        *,
-        algorithm: Optional[str] = None,
-        **params: float,
-    ) -> "BatchResult":
-        """Answer many queries (by label) in one batch.
-
-        Returns a :class:`repro.extensions.BatchResult` with per-query
-        results, the failed queries, and timing that separates the shared
-        preprocessing from the per-query work.  With
-        ``share_preprocessing=False`` each query rebuilds its own state (no
-        sharing even within the batch), honouring the searcher's contract.
-        """
-        import time
-
-        from repro.extensions.batch import BatchResult, BatchSACProcessor
-
-        name = algorithm or self.default_algorithm
-        if name not in ALGORITHMS:
-            raise InvalidParameterError(
-                f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}"
-            )
-        indices = [self.graph.index_of(label) for label in queries]
-        if self.share_preprocessing:
-            processor = BatchSACProcessor(
-                self.graph,
-                k,
-                algorithm=name,
-                algorithm_params=dict(params),
-                engine=self.engine,
-            )
-            return processor.run(indices)
-
-        start = time.perf_counter()
-        batch = BatchResult()
-        for index in indices:
-            try:
-                batch.results[index] = ALGORITHMS[name](self.graph, index, k, **params)
-            except NoCommunityError:
-                batch.failed.append(index)
-        batch.elapsed_seconds = time.perf_counter() - start
-        return batch
 
     def search_theta(
         self, query: Label, k: int, theta: float, *, missing_ok: bool = True

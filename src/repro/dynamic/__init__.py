@@ -9,10 +9,10 @@ function of the time gap between snapshots (Figure 13).
 * :class:`~repro.dynamic.stream.LocationStream` — replays check-ins and
   maintains the current location of every user;
 * :class:`~repro.dynamic.tracker.SACTracker` — re-queries a user's SAC at
-  each of their check-ins and records the community timeline; by default the
-  replay runs on a single :class:`repro.engine.IncrementalEngine` whose
-  caches survive every location update (pass ``incremental=False`` for the
-  rebuild-per-check-in baseline);
+  each of their check-ins and records the community timeline; the replay
+  runs on a single :class:`repro.engine.IncrementalEngine` whose caches
+  survive every location update (the rebuild-per-check-in baseline is the
+  reference oracle :func:`repro.testing.oracle.oracle_timelines`);
 * :func:`~repro.dynamic.evaluation.overlap_vs_time_gap` — aggregates CJS/CAO
   against the time-gap threshold η, reproducing Figure 13.
 """

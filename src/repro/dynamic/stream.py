@@ -74,7 +74,7 @@ class LocationStream:
         A copy of the internal map; users still at their base location are
         absent.  This is what :class:`repro.dynamic.SACTracker` feeds into a
         caller-supplied engine so a pre-advanced stream replays identically
-        on both of its paths.
+        to :func:`repro.testing.oracle.oracle_timelines`.
         """
         return dict(self._current_locations)
 

@@ -1,26 +1,25 @@
 """Tracking a user's SAC over time as their location changes.
 
-The replay loop comes in two flavours.  The **incremental** path (default)
-binds a :class:`repro.service.SACService` to an
+The replay binds a :class:`repro.service.SACService` to an
 :class:`repro.engine.IncrementalEngine` over a private mutable copy of the
 graph, feeds every check-in through
 :meth:`~repro.service.SACService.apply_checkin`, and answers each tracked
 user's query through the service — the core decomposition, k-ĉore
 labellings, and per-component artifacts are built once and merely *patched*
 as locations move, and the service's answer cache serves repeat queries
-whose component no intervening check-in touched.  The **rebuild** path
-(``incremental=False``) reproduces the naive baseline: materialise a
-coordinate snapshot and run the algorithm from scratch at every tracked
-check-in.  Both paths return bit-identical timelines; the benchmark
-``benchmarks/bench_incremental_dynamic.py`` measures the gap between them.
+whose component no intervening check-in touched.  The naive baseline, which
+materialises a coordinate snapshot and runs the algorithm from scratch at
+every tracked check-in, is the reference oracle
+:func:`repro.testing.oracle.oracle_timelines`; the two return bit-identical
+timelines, and ``benchmarks/bench_incremental_dynamic.py`` measures the gap
+between them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
-from repro.core.result import SACResult
 from repro.core.searcher import ALGORITHMS
 from repro.dynamic.stream import LocationStream
 from repro.engine import IncrementalEngine
@@ -69,30 +68,23 @@ class SACTracker:
         ``"exact+"`` to follow the paper exactly).
     algorithm_params:
         Extra keyword arguments for the algorithm (e.g. ``epsilon_a``).
-    incremental:
-        When ``True`` (default) the replay runs on one
-        :class:`~repro.engine.IncrementalEngine` that absorbs every check-in
-        in place; when ``False`` every tracked check-in rebuilds all
-        per-graph state from a fresh coordinate snapshot (the pre-engine
-        behaviour, kept as a baseline and escape hatch).  The two paths
-        produce identical timelines.
     engine:
-        Optional pre-built :class:`~repro.engine.IncrementalEngine` for the
-        incremental path — typically warm-started from a snapshot via
+        Optional pre-built :class:`~repro.engine.IncrementalEngine` to replay
+        on — typically warm-started from a snapshot via
         :meth:`IncrementalEngine.from_store <repro.engine.QueryEngine.from_store>`,
         which is how the CLI's ``track --store`` skips the cold build.  The
         engine must be bound to a graph of the stream's shape; the replay
-        takes ownership and mutates it.  Ignored on the rebuild path.
+        takes ownership and mutates it.
 
     Attributes
     ----------
     last_engine:
         The :class:`~repro.engine.IncrementalEngine` used by the most recent
-        incremental :meth:`track` call (``None`` before the first call or on
-        the rebuild path); its ``stats`` expose the cache-repair counters.
+        :meth:`track` call (``None`` before the first call); its ``stats``
+        expose the cache-repair counters.
     last_service:
         The :class:`~repro.service.SACService` wrapping that engine for the
-        most recent incremental replay; its :meth:`~repro.service.SACService.stats`
+        most recent replay; its :meth:`~repro.service.SACService.stats`
         expose the answer-cache hit/invalidation counters alongside the
         engine's.
     """
@@ -104,7 +96,6 @@ class SACTracker:
         *,
         algorithm: str = "appfast",
         algorithm_params: Optional[Dict[str, float]] = None,
-        incremental: bool = True,
         engine: Optional[IncrementalEngine] = None,
     ) -> None:
         if algorithm not in ALGORITHMS:
@@ -124,7 +115,6 @@ class SACTracker:
         self.k = k
         self.algorithm = algorithm
         self.algorithm_params = dict(algorithm_params or {})
-        self.incremental = incremental
         self.engine = engine
         self.last_engine: Optional[IncrementalEngine] = None
         self.last_service: Optional[SACService] = None
@@ -139,54 +129,20 @@ class SACTracker:
         """
         tracked = set(int(user) for user in users)
         timelines: Dict[int, List[CommunitySnapshot]] = {user: [] for user in tracked}
-        if self.incremental:
-            self._track_incremental(tracked, timelines)
-        else:
-            self._track_rebuild(tracked, timelines)
-        return timelines
-
-    # ------------------------------------------------------------ replay paths
-    @staticmethod
-    def _append_snapshot(
-        timelines: Dict[int, List[CommunitySnapshot]], record, run_query
-    ) -> None:
-        """Run one tracked query and append its snapshot to the timeline.
-
-        Shared by both replay paths so the no-community fallback (empty
-        member set, zero circle at the check-in location) stays bit-identical
-        between them — the parity the property tests assert.
-        """
-        try:
-            result: SACResult = run_query()
-            members, circle = result.members, result.circle
-        except NoCommunityError:
-            members = frozenset()
-            circle = Circle.from_xy(record.x, record.y, 0.0)
-        timelines[record.user].append(
-            CommunitySnapshot(timestamp=record.timestamp, members=members, circle=circle)
-        )
-
-    def _track_incremental(
-        self, tracked: Set[int], timelines: Dict[int, List[CommunitySnapshot]]
-    ) -> None:
-        """One service absorbs the whole stream; queries hit warm caches.
-
-        Check-ins and queries both flow through a :class:`SACService`, so the
-        engine's artifact repair and the answer cache's component-version
-        invalidation stay in lockstep: a tracked user's own check-in bumps
-        their component and forces a fresh answer, while queries untouched by
-        intervening moves are served from the cache bit-identically.
-        """
         if self.engine is not None:
             work_engine = self.engine
             # A pre-advanced stream (advance_to) has locations the engine's
-            # graph does not reflect yet; apply them so both replay paths
-            # start from the same coordinates.
+            # graph does not reflect yet; apply them so the replay starts
+            # from the stream's current coordinates.
             for user, (x, y) in self.stream.current_locations.items():
                 work_engine.apply_checkin(user, x, y)
         else:
-            work = self.stream.snapshot().mutable_copy()
-            work_engine = IncrementalEngine(work)
+            work_engine = IncrementalEngine(self.stream.snapshot().mutable_copy())
+        # Check-ins and queries both flow through one service, so the
+        # engine's artifact repair and the answer cache's component-version
+        # invalidation stay in lockstep: a tracked user's own check-in bumps
+        # their component and forces a fresh answer, while queries untouched
+        # by intervening moves are served from the cache bit-identically.
         service = SACService(engine=work_engine)
         self.last_engine = service.engine
         self.last_service = service
@@ -194,27 +150,15 @@ class SACTracker:
             service.apply_checkin(record.user, record.x, record.y)
             if record.user not in tracked:
                 continue
-            self._append_snapshot(
-                timelines,
-                record,
-                lambda: service.search(
+            try:
+                result = service.search(
                     record.user, self.k, algorithm=self.algorithm, **self.algorithm_params
-                ),
+                )
+                members, circle = result.members, result.circle
+            except NoCommunityError:
+                members = frozenset()
+                circle = Circle.from_xy(record.x, record.y, 0.0)
+            timelines[record.user].append(
+                CommunitySnapshot(timestamp=record.timestamp, members=members, circle=circle)
             )
-
-    def _track_rebuild(
-        self, tracked: Set[int], timelines: Dict[int, List[CommunitySnapshot]]
-    ) -> None:
-        """Baseline: every tracked check-in pays the full per-query setup."""
-        algorithm = ALGORITHMS[self.algorithm]
-        for record in self.stream.replay():
-            if record.user not in tracked:
-                continue
-            snapshot_graph = self.stream.snapshot()
-            self._append_snapshot(
-                timelines,
-                record,
-                lambda: algorithm(
-                    snapshot_graph, record.user, self.k, **self.algorithm_params
-                ),
-            )
+        return timelines

@@ -17,8 +17,10 @@ Two engines share that cache design:
 Batch traffic adds a third concern — redundancy *within* one batch — and
 :mod:`repro.engine.plan` owns it: :func:`plan_batch` resolves a batch into
 a :class:`BatchPlan` (queries grouped by k-ĉore component, duplicates
-deduped, cache hits pruned) that the engine, the sharded executor, and the
-service all execute with the shared per-group work paid once.
+deduped, cache hits pruned) whose groups :func:`execute_group` answers with
+the shared per-group work paid once.  The engine itself answers one query
+at a time (:meth:`QueryEngine.search`); batches are planned and answered by
+:meth:`repro.service.SACService.submit_batch`.
 
 Memory is the fourth concern at million-vertex scale, owned by
 :mod:`repro.engine.residency`: warm-started engines keep the mmap'd store
@@ -33,7 +35,6 @@ from repro.engine.plan import (
     BatchPlan,
     PlanGroup,
     execute_group,
-    execute_plan,
     plan_batch,
 )
 from repro.engine.residency import BundleResidency
@@ -46,6 +47,5 @@ __all__ = [
     "PlanGroup",
     "plan_batch",
     "execute_group",
-    "execute_plan",
     "BundleResidency",
 ]

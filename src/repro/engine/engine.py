@@ -32,17 +32,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.base import CandidateArtifacts, QueryContext, validate_query
 from repro.core.result import SACResult
 from repro.core.searcher import ALGORITHMS
-from repro.engine.plan import BatchPlan, execute_plan, plan_batch
 from repro.engine.residency import BundleResidency
 from repro.exceptions import InvalidParameterError, NoCommunityError
-from repro.graph.spatial_graph import Label, SpatialGraph
+from repro.graph.spatial_graph import SpatialGraph
 from repro.kcore.decomposition import core_numbers, gather_neighbors
 
 #: Monotone source of :attr:`QueryEngine.cache_token` values.  Tokens are
@@ -476,103 +475,3 @@ class QueryEngine:
             # before ever building a context; nothing to share.
             return run(self.graph, query, k, **params)
         return run(self.graph, query, k, context=self.context(query, k), **params)
-
-    def search_label(
-        self, query: Label, k: int, *, algorithm: str = "appfast", **params: float
-    ) -> SACResult:
-        """As :meth:`search`, addressing the query vertex by user-facing label."""
-        return self.search(self.graph.index_of(query), k, algorithm=algorithm, **params)
-
-    def search_many(
-        self,
-        queries: Sequence[int],
-        k: int,
-        *,
-        algorithm: str = "appfast",
-        missing_ok: bool = True,
-        errors: Optional[Dict[int, str]] = None,
-        **params: float,
-    ) -> Dict[int, Optional[SACResult]]:
-        """Answer a sequence of queries, mapping each to its result.
-
-        Queries without a community map to ``None`` when ``missing_ok`` (the
-        default); otherwise the first failure raises.  Per-query *errors*
-        (an unknown vertex, an invalid per-query parameter) are distinct from
-        "no community": when an ``errors`` dict is supplied, each failing
-        query is recorded there as ``query -> message`` and maps to ``None``
-        in the result, so one bad query never discards the rest of the
-        batch's answers; without ``errors`` the first such error raises,
-        exactly like a single :meth:`search` call.
-
-        The batch runs through the factorised pipeline of
-        :mod:`repro.engine.plan` — duplicates answered once, queries grouped
-        by k-ĉore component, each group's artifacts fetched and distance
-        matrix computed in one pass — with answers **bit-identical** to one
-        :meth:`search` per query.  For full batch bookkeeping (timings,
-        failure lists, shard/cache stats) use
-        :class:`repro.service.SACService`, which is built on this engine.
-        """
-        if algorithm not in ALGORITHMS:
-            raise InvalidParameterError(
-                f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-            )
-        try:
-            batch_plan = plan_batch(self, queries, k, algorithm=algorithm, params=params)
-        except InvalidParameterError as error:
-            if isinstance(k, int) and k >= 1:
-                raise
-            # An invalid k fails every query on its own, as each single
-            # search would, so the errors-dict contract covers it too.
-            queries = [int(query) for query in queries]
-            if errors is None and queries:
-                raise
-            for query in queries:
-                errors[query] = str(error)
-            return dict.fromkeys(queries)
-        return self._assemble_planned(batch_plan, missing_ok, errors)
-
-    def _assemble_planned(
-        self,
-        batch_plan: "BatchPlan",
-        missing_ok: bool,
-        errors: Optional[Dict[int, str]],
-    ) -> Dict[int, Optional[SACResult]]:
-        """Execute a plan with the raise semantics of one search per query.
-
-        A per-query loop would raise at the *first* offending occurrence in
-        submission order; with plan-time classification that query is known
-        before anything executes, so the same exception is raised up front
-        (re-running the single-query path for a "no community" raise, so
-        even the error detail matches).
-        """
-        failed = set(batch_plan.failed)
-        for query in batch_plan.order:
-            if errors is None and query in batch_plan.errors:
-                raise batch_plan.errors[query]
-            if not missing_ok and query in failed:
-                # Raises NoCommunityError with exactly the single-query
-                # path's message (including the k == 1 no-neighbour detail).
-                self.search(
-                    query,
-                    batch_plan.k,
-                    algorithm=batch_plan.algorithm,
-                    **batch_plan.params,
-                )
-        exec_errors: Optional[Dict[int, str]] = None if errors is None else {}
-        computed = execute_plan(
-            self, batch_plan, errors=exec_errors, failed=batch_plan.failed
-        )
-        failed = set(batch_plan.failed)
-        results: Dict[int, Optional[SACResult]] = {}
-        for query in batch_plan.order:
-            if query in computed:
-                results[query] = computed[query]
-            elif query in batch_plan.errors:
-                errors[query] = str(batch_plan.errors[query])
-                results[query] = None
-            elif exec_errors and query in exec_errors:
-                errors[query] = exec_errors[query]
-                results[query] = None
-            else:
-                results[query] = None
-        return results

@@ -112,12 +112,11 @@ class BatchPlan:
     """The resolved execution plan of one batch.
 
     Produced by :func:`plan_batch`; consumed by
-    :meth:`repro.engine.QueryEngine.search_many`,
-    :meth:`repro.service.ShardedExecutor.run_plan`, and
-    :meth:`repro.service.SACService.submit_batch`.  Everything a result
-    assembler needs to restore per-occurrence semantics is here: the full
-    submission ``order``, the per-query classification, and the answers
-    already resolved at plan time.
+    :meth:`repro.service.SACService.submit_batch` and the
+    :meth:`repro.service.ShardedExecutor.run_plan` it dispatches to.
+    Everything a result assembler needs to restore per-occurrence semantics
+    is here: the full submission ``order``, the per-query classification,
+    and the answers already resolved at plan time.
 
     Attributes
     ----------
@@ -137,9 +136,7 @@ class BatchPlan:
         submission order (the legacy ``BatchResult.failed`` contract).
     errors:
         Query vertex -> the exception that makes it unanswerable (an
-        unknown vertex index).  Kept as exception objects so
-        ``search_many`` can re-raise exactly; surfaces that want messages
-        use :meth:`error_messages`.
+        unknown vertex index); :meth:`error_messages` renders them.
     cache_hits:
         Occurrences answered from the cache (duplicates of a hit count,
         matching the pre-plan service accounting).
@@ -374,26 +371,4 @@ def execute_group(
             if stats is not None:
                 stats.queries_served += 1
                 stats.queries_factorised += 1
-    return results
-
-
-def execute_plan(
-    engine,
-    plan: BatchPlan,
-    *,
-    errors: Optional[Dict[int, str]] = None,
-    failed: Optional[List[int]] = None,
-) -> Dict[int, SACResult]:
-    """Execute every group of ``plan`` serially; returns the computed answers.
-
-    The single-process assembly loop shared by
-    :meth:`repro.engine.QueryEngine.search_many` and the executor's serial
-    path; cache-resolved answers (``plan.cached``) are *not* merged here —
-    the caller owns that, because it also owns the cache fills.
-    """
-    results: Dict[int, SACResult] = {}
-    for group in plan.groups:
-        results.update(
-            execute_group(engine, plan, group, errors=errors, failed=failed)
-        )
     return results

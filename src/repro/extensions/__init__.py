@@ -1,7 +1,7 @@
 """Extensions beyond the paper's core contribution.
 
-The paper explicitly leaves three directions open, all of which are
-implemented here:
+The paper explicitly leaves three directions open.  Two are implemented
+here; the third lives in the serving layer:
 
 * **Alternative structure cohesiveness** — Section 3 ("Remarks") notes that
   the minimum-degree metric "can be easily replaced by other metrics like
@@ -9,7 +9,7 @@ implemented here:
   decomposition and :func:`~repro.extensions.truss_sac.truss_sac_search`
   runs spatial-aware community search under the k-truss model.
 * **Batch processing** — the conclusions list "batch processing for SAC
-  search" as future work.  :class:`~repro.extensions.batch.BatchSACProcessor`
+  search" as future work.  :meth:`repro.service.SACService.submit_batch`
   answers many queries over the same graph while sharing the core
   decomposition, candidate extraction, and spatial index across queries.
 * **Other spatial cohesiveness measures** — the conclusions also mention
@@ -18,7 +18,6 @@ implemented here:
   distance instead of the MCC radius.
 """
 
-from repro.extensions.batch import BatchResult, BatchSACProcessor
 from repro.extensions.pairwise import pairwise_sac_search
 from repro.extensions.truss import (
     connected_k_truss,
@@ -34,7 +33,5 @@ __all__ = [
     "k_truss_edges",
     "connected_k_truss",
     "truss_sac_search",
-    "BatchSACProcessor",
-    "BatchResult",
     "pairwise_sac_search",
 ]

@@ -28,7 +28,11 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, 
 
 import numpy as np
 
-from repro.exceptions import GraphConstructionError, VertexNotFoundError
+from repro.exceptions import (
+    GraphConstructionError,
+    InvalidParameterError,
+    VertexNotFoundError,
+)
 from repro.geometry.grid import GridIndex
 
 Label = Hashable
@@ -375,16 +379,24 @@ class SpatialGraph:
         :class:`repro.store.ArtifactStore` snapshot), the first call thaws
         the coordinate matrix into a private writable copy — the snapshot on
         disk is never written through.
+
+        A non-finite coordinate raises :class:`InvalidParameterError` before
+        anything is written.
         """
         if not 0 <= vertex < self.num_vertices:
             raise VertexNotFoundError(vertex)
+        x, y = float(x), float(y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InvalidParameterError(
+                f"location of vertex {vertex} must be finite, got ({x!r}, {y!r})"
+            )
         if not self._coords.flags.writeable:
             self._thaw_coordinates()
         if self._grid is not None:
-            self._grid.move_point(vertex, float(x), float(y))
+            self._grid.move_point(vertex, x, y)
         else:
-            self._coords[vertex, 0] = float(x)
-            self._coords[vertex, 1] = float(y)
+            self._coords[vertex, 0] = x
+            self._coords[vertex, 1] = y
 
     def _thaw_coordinates(self) -> None:
         """Replace a read-only coordinate matrix with a private writable copy.

@@ -267,9 +267,14 @@ class Coordinator:
         return True
 
     async def _health_loop(self) -> None:
-        """Probe every backend on a fixed period; eject and readmit replicas."""
+        """Probe every backend on a fixed period; eject and readmit replicas.
+
+        Stops at the drain flag as well as on cancellation: before Python
+        3.12, ``asyncio.wait_for`` drops a cancel that lands just as its
+        inner future finishes, so a probe can swallow :meth:`stop`'s cancel.
+        """
         interval = self.config.health_interval_ms / 1000.0
-        while True:
+        while not self._draining:
             for replica in self.replicas:
                 await self._probe(replica, is_writer=False)
             await self._probe(self.writer, is_writer=True)

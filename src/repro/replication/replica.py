@@ -95,6 +95,11 @@ class ReplicaServer(SACServer):
             self.config.wal_dir, start_lsn=self.config.snapshot_lsn + 1
         )
         self._applied = int(self.config.snapshot_lsn)
+        # The replay position on the engine thread; published as
+        # ``_applied`` only after the replay job has also re-evaluated the
+        # standing queries, so a reader that sees ``applied_lsn`` reach an
+        # LSN can already poll that mutation's delta.
+        self._replayed = self._applied
         self._follow_task: Optional[asyncio.Task] = None
         for route in (("POST", "/checkin"), ("POST", "/edge"), ("POST", "/compact")):
             self._routes[route] = self._handle_not_writer
@@ -112,8 +117,13 @@ class ReplicaServer(SACServer):
 
     @property
     def applied_lsn(self) -> Optional[int]:
-        """Last WAL LSN replayed into this replica's engine."""
+        """Last WAL LSN replayed into this replica's engine and its subscriptions."""
         return self._applied
+
+    @property
+    def _state_lsn(self) -> Optional[int]:
+        """The replay position, ahead of :attr:`applied_lsn` inside a replay job."""
+        return self._replayed
 
     # -------------------------------------------------------------- lifecycle
     async def start(self) -> None:
@@ -173,10 +183,11 @@ class ReplicaServer(SACServer):
                     return total
                 for record in records:
                     self.service.apply_record(record)
-                    self._applied = int(record["lsn"])
+                    self._replayed = int(record["lsn"])
                     total += 1
 
         applied = await self._run_mutation(run)
+        self._applied = self._replayed
         if applied:
             self.replica_stats.records_replayed += applied
             self.replica_stats.replay_batches += 1
@@ -230,11 +241,12 @@ class ReplicaServer(SACServer):
             self._cursor = WalCursor(
                 self.config.wal_dir, start_lsn=snapshot_lsn + 1
             )
-            self._applied = snapshot_lsn
+            self._replayed = snapshot_lsn
             stale.close()
             return gap.needed_lsn, snapshot_lsn
 
         needed, landed = await self._run_mutation(run)
+        self._applied = self._replayed
         self.replica_stats.resyncs += 1
         print(
             f"replica: resynced from snapshot (gap at lsn {needed}, "

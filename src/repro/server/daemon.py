@@ -109,6 +109,20 @@ BatchKey = Tuple[int, str, Tuple[Tuple[str, float], ...], str]
 Handler = Callable[[Request], Awaitable[Tuple[int, dict]]]
 
 
+def _finite_number(value: object, name: str) -> float:
+    """``value`` as a finite float, or a 400 naming the request field.
+
+    Python's JSON decoder accepts ``NaN`` and ``Infinity``; a non-finite
+    number would corrupt engine state or echo back into a response body
+    that is not valid JSON, so every numeric request field passes here.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            if math.isfinite(value):
+                return float(value)
+    raise HttpError(400, f"{name!r} must be a finite number, got {value!r}")
+
+
 @dataclass
 class ServerConfig:
     """Tunables of one :class:`SACServer`.
@@ -488,6 +502,16 @@ class SACServer:
         their replay position.
         """
         return self.durable_lsn
+
+    @property
+    def _state_lsn(self) -> Optional[int]:
+        """LSN the engine's state reflects right now (read on the engine thread).
+
+        Stamps subscription deltas.  Equal to :attr:`applied_lsn` on the
+        writer; a replica publishes :attr:`applied_lsn` only after the
+        replay job that reached this LSN has re-evaluated its subscriptions.
+        """
+        return self.applied_lsn
 
     def _wal_append(self, record: dict) -> Optional[int]:
         """Append one mutation record to the WAL; its LSN, or None without a WAL.
@@ -957,7 +981,7 @@ class SACServer:
         Expires idle subscriptions, re-evaluates the ones whose component
         version moved, and wakes the parked pollers of every subscription
         that now has a deliverable message.  Deltas are stamped with
-        :attr:`applied_lsn`, read *after* the mutation ran in the same
+        :attr:`_state_lsn`, read *after* the mutation ran in the same
         serialised job, so it names exactly the mutation the delta reflects
         (the writer's durable LSN, a replica's replay position).  Failures
         are contained — a broken evaluation must not fail the mutation that
@@ -967,7 +991,7 @@ class SACServer:
             return
         try:
             expired = self.subscriptions.expire_idle()
-            woken = self.subscriptions.evaluate(lsn=self.applied_lsn)
+            woken = self.subscriptions.evaluate(lsn=self._state_lsn)
         except Exception as error:  # noqa: BLE001 - never fail the mutation
             print(f"server: subscription evaluation failed: {error!r}", file=sys.stderr)
             return
@@ -1018,11 +1042,12 @@ class SACServer:
         value = body.get("deadline_ms", self.config.default_deadline_ms)
         if value is None:
             return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+        deadline_ms = _finite_number(value, "deadline_ms")
+        if not deadline_ms > 0:
             raise HttpError(
                 400, f"'deadline_ms' must be a positive number, got {value!r}"
             )
-        return float(value)
+        return deadline_ms
 
     @staticmethod
     def _parse_params(
@@ -1054,16 +1079,16 @@ class SACServer:
             )
         else:
             allowed = _algorithm_parameter_names(algorithm)
-        for name, value in params.items():
+        for name in params:
             if name not in allowed:
                 raise HttpError(
                     400,
                     f"algorithm {algorithm!r} takes no parameter {name!r}; "
                     f"accepted: {sorted(allowed)}",
                 )
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise HttpError(400, f"parameter {name!r} must be a number, got {value!r}")
-        return algorithm, tuple(sorted((str(n), float(v)) for n, v in params.items()))
+        return algorithm, tuple(
+            sorted((str(n), _finite_number(v, n)) for n, v in params.items())
+        )
 
     def _result_payload(
         self,
@@ -1213,11 +1238,9 @@ class SACServer:
             if name not in body:
                 raise HttpError(400, f"missing required field {name!r}")
         user = self._resolve_vertex(body["user"], "user")
-        x, y = body["x"], body["y"]
-        for name, value in (("x", x), ("y", y)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise HttpError(400, f"{name!r} must be a number, got {value!r}")
-        def run(user=user, x=float(x), y=float(y)):
+        x, y = _finite_number(body["x"], "x"), _finite_number(body["y"], "y")
+
+        def run(user=user, x=x, y=y):
             self.service.apply_checkin(user, x, y)
             # Logged only after the apply succeeded, in the same serialised
             # job — the WAL holds exactly the applied mutations, in order.
@@ -1353,12 +1376,9 @@ class SACServer:
         if raw_timeout is None:
             timeout_ms = self.config.poll_timeout_ms
         else:
-            try:
-                timeout_ms = float(raw_timeout)
-            except ValueError:
-                raise HttpError(
-                    400, f"'timeout_ms' must be a number, got {raw_timeout!r}"
-                ) from None
+            with contextlib.suppress(ValueError):
+                raw_timeout = float(raw_timeout)
+            timeout_ms = _finite_number(raw_timeout, "timeout_ms")
             if timeout_ms < 0:
                 raise HttpError(400, "'timeout_ms' must be non-negative")
             timeout_ms = min(timeout_ms, self.config.poll_timeout_ms)

@@ -5,9 +5,10 @@ Everything the serving layer offers behind a single object: a shared
 :class:`~repro.engine.IncrementalEngine` for dynamic graphs), a
 :class:`~repro.service.sharding.ShardedExecutor` for parallel batch
 execution, and an :class:`~repro.service.cache.AnswerCache` that persists
-answers across batches.  :class:`repro.extensions.BatchSACProcessor`,
-:class:`repro.dynamic.SACTracker`, and the CLI ``serve-batch`` subcommand
-are all thin shells over this facade.
+answers across batches.  :meth:`SACService.submit_batch` is the library's
+one batch entry point: :class:`repro.dynamic.SACTracker`, the standing-query
+registry, the daemon, and the CLI ``batch`` / ``serve-batch`` subcommands
+all answer through it.
 
 The layering keeps one invariant: every path — single query, serial batch,
 sharded batch, cache hit — returns bit-identical
@@ -76,9 +77,9 @@ class SACService:
     workers:
         Process-pool size for sharded batch execution; ``None`` serves every
         batch serially (still engine-cached, still answer-cached).
-    use_cache / cache_capacity:
-        Whether to keep an :class:`~repro.service.cache.AnswerCache`, and its
-        LRU capacity.
+    use_cache:
+        Whether to keep an :class:`~repro.service.cache.AnswerCache` (at its
+        default LRU capacity).
     clock:
         Monotonic time source (seconds) for every elapsed-time and deadline
         measurement — batch timings, SLO budgets, late flags; defaults to
@@ -102,7 +103,6 @@ class SACService:
         engine: Optional[QueryEngine] = None,
         workers: Optional[int] = None,
         use_cache: bool = True,
-        cache_capacity: int = 4096,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if (graph is None) == (engine is None):
@@ -114,9 +114,7 @@ class SACService:
         #: a lagging replica by reopening it.
         self.store_path: Optional[str] = None
         self.executor = ShardedExecutor(self.engine, workers=workers)
-        self.cache: Optional[AnswerCache] = (
-            AnswerCache(cache_capacity) if use_cache else None
-        )
+        self.cache: Optional[AnswerCache] = AnswerCache() if use_cache else None
         #: The deadline ladder's calibrated cost model; fitted lazily on the
         #: first deadline-carrying request per ``k`` (or eagerly via
         #: :meth:`calibrate_slo`) and refreshed from observed latencies.
@@ -157,32 +155,28 @@ class SACService:
         cls,
         path,
         *,
-        incremental: bool = True,
         workers: Optional[int] = None,
         use_cache: bool = True,
-        cache_capacity: int = 4096,
         clock: Optional[Callable[[], float]] = None,
         max_resident_bytes: Optional[int] = None,
     ) -> "SACService":
         """Open a service over a snapshot written by :meth:`save`.
 
-        The engine warm-starts memory-mapped from the store
-        (:class:`~repro.engine.IncrementalEngine` by default, so
-        :meth:`apply_checkin` / :meth:`apply_edge` work out of the box; pass
-        ``incremental=False`` for a plain read-only
-        :class:`~repro.engine.QueryEngine`).  ``max_resident_bytes`` bounds
+        The engine warm-starts memory-mapped from the store as an
+        :class:`~repro.engine.IncrementalEngine`, so :meth:`apply_checkin` /
+        :meth:`apply_edge` work out of the box.  ``max_resident_bytes`` bounds
         the engine's resident artifact-bundle working set (see
         :class:`repro.engine.residency.BundleResidency`); ``None`` keeps
         every touched bundle resident.  All other parameters match the
         constructor.  The opened path is remembered as :attr:`store_path`
         so the replication tier can reopen the snapshot in place.
         """
-        engine_cls = IncrementalEngine if incremental else QueryEngine
         service = cls(
-            engine=engine_cls.from_store(path, max_resident_bytes=max_resident_bytes),
+            engine=IncrementalEngine.from_store(
+                path, max_resident_bytes=max_resident_bytes
+            ),
             workers=workers,
             use_cache=use_cache,
-            cache_capacity=cache_capacity,
             clock=clock,
         )
         service.store_path = str(path)

@@ -1,10 +1,8 @@
-"""Batch outcome type shared by every batch-execution surface.
+"""Batch outcome type of the serving layer.
 
-:class:`BatchResult` is produced by :class:`repro.service.SACService`,
-:class:`repro.service.ShardedExecutor`, and (via its service delegation)
-:class:`repro.extensions.BatchSACProcessor`.  It lives in the service layer
-— the lowest layer that produces it — and is re-exported from
-``repro.extensions.batch`` for backwards compatibility.
+:class:`BatchResult` is produced by :meth:`repro.service.SACService.submit_batch`
+and the :class:`repro.service.ShardedExecutor` it dispatches to, and is
+re-exported as :class:`repro.BatchResult`.
 """
 
 from __future__ import annotations

@@ -8,21 +8,33 @@ This module is that direct run: :func:`oracle_search` calls
 the algorithm builds a fresh :class:`~repro.core.base.QueryContext` and
 shares nothing with any engine.  Differential tests compare an execution
 path against it with :func:`assert_results_identical` (member sets, circle
-floats, and stats).
+floats, and stats).  :func:`oracle_timelines` is the same reference for the
+dynamic scenario: it replays a check-in stream the naive way, re-running
+:func:`oracle_search` on a fresh coordinate snapshot at every tracked
+check-in, which is what :class:`repro.dynamic.SACTracker`'s incremental
+replay must reproduce.
 
 Importable without ``hypothesis``, like :mod:`repro.testing` itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.result import SACResult
 from repro.core.searcher import ALGORITHMS
+from repro.dynamic.stream import LocationStream
+from repro.dynamic.tracker import CommunitySnapshot
 from repro.exceptions import NoCommunityError
+from repro.geometry.circle import Circle
 from repro.graph.spatial_graph import SpatialGraph
 
-__all__ = ["assert_results_identical", "oracle_batch", "oracle_search"]
+__all__ = [
+    "assert_results_identical",
+    "oracle_batch",
+    "oracle_search",
+    "oracle_timelines",
+]
 
 
 def oracle_search(
@@ -57,6 +69,40 @@ def oracle_batch(
         int(query): oracle_search(graph, query, k, algorithm=algorithm, **params)
         for query in queries
     }
+
+
+def oracle_timelines(
+    stream: LocationStream,
+    users: Sequence[int],
+    k: int,
+    *,
+    algorithm: str = "appfast",
+    **params: float,
+) -> Dict[int, List[CommunitySnapshot]]:
+    """Replay ``stream`` and re-answer every tracked check-in from scratch.
+
+    At each check-in of a user in ``users`` the query runs through
+    :func:`oracle_search` on a snapshot of the current coordinates; a check-in
+    without a community records an empty member set with a zero circle at
+    the check-in location.  Returns each tracked user's timeline, in the
+    shape :meth:`repro.dynamic.SACTracker.track` returns.
+    """
+    tracked = {int(user) for user in users}
+    timelines: Dict[int, List[CommunitySnapshot]] = {user: [] for user in tracked}
+    for record in stream.replay():
+        if record.user not in tracked:
+            continue
+        result = oracle_search(
+            stream.snapshot(), record.user, k, algorithm=algorithm, **params
+        )
+        if result is None:
+            members, circle = frozenset(), Circle.from_xy(record.x, record.y, 0.0)
+        else:
+            members, circle = result.members, result.circle
+        timelines[record.user].append(
+            CommunitySnapshot(timestamp=record.timestamp, members=members, circle=circle)
+        )
+    return timelines
 
 
 def assert_results_identical(first, second, context=()) -> None:

@@ -223,7 +223,6 @@ class TestTrack:
         parser = build_parser()
         args = parser.parse_args(["track", "g.npz"])
         assert args.algorithm == "appfast"
-        assert not args.no_incremental
 
     def test_track_incremental_replay(self, graph_file, capsys):
         assert main(["track", str(graph_file), *self.TRACK_ARGS]) == 0
@@ -231,18 +230,6 @@ class TestTrack:
         assert "incremental" in output
         assert "check-ins" in output
         assert "bundle patches" in output
-
-    def test_track_rebuild_matches_incremental(self, graph_file, capsys):
-        assert main(["track", str(graph_file), *self.TRACK_ARGS]) == 0
-        incremental_output = capsys.readouterr().out
-        assert main(["track", str(graph_file), *self.TRACK_ARGS, "--no-incremental"]) == 0
-        rebuild_output = capsys.readouterr().out
-        assert "rebuild-per-checkin" in rebuild_output
-        # The per-user timeline lines (everything after the header block) must
-        # agree between the two replay modes.
-        tail = lambda text: [line for line in text.splitlines() if line.startswith("  user")]
-        assert tail(incremental_output) == tail(rebuild_output)
-        assert tail(incremental_output)
 
     def test_track_checkin_file_users_are_labels(self, graph_file, tmp_path, capsys):
         graph = load_graph_npz(graph_file)

@@ -54,6 +54,10 @@ class TestAppFastEdgeCases:
         with pytest.raises(InvalidParameterError):
             app_fast(two_triangle_graph, 0, 2, -0.1)
 
+    def test_nan_epsilon_rejected(self, two_triangle_graph):
+        with pytest.raises(InvalidParameterError):
+            app_fast(two_triangle_graph, 0, 2, float("nan"))
+
     def test_k_equals_one(self, two_triangle_graph):
         result = app_fast(two_triangle_graph, 0, 1)
         assert len(result.members) == 2

@@ -8,8 +8,9 @@ from repro.datasets.geosocial import brightkite_like
 from repro.engine import QueryEngine
 from repro.exceptions import InvalidParameterError, NoCommunityError
 from repro.experiments.queries import select_query_vertices
-from repro.extensions.batch import BatchSACProcessor
 from repro.kcore.decomposition import core_numbers
+from repro.service import SACService
+from repro.testing.oracle import oracle_search
 
 ALGORITHM_PARAMS = {
     "exact": {},
@@ -121,35 +122,22 @@ class TestEngineCaching:
 
     def test_search_label_and_many(self, two_triangle_graph):
         engine = QueryEngine(two_triangle_graph)
-        by_label = engine.search_label(0, 2)
+        by_label = engine.search(two_triangle_graph.index_of(0), 2)
         assert 0 in by_label.members
-        results = engine.search_many([0, 6], 2)
-        assert results[0].members == by_label.members
-        assert results[6] is None
+        batch = SACService(engine=engine, use_cache=False).submit_batch([0, 6], 2)
+        assert batch.results[0].members == by_label.members
+        assert batch.results.get(6) is None and batch.failed == [6]
         with pytest.raises(NoCommunityError):
-            engine.search_many([6], 2, missing_ok=False)
+            engine.search(6, 2)
 
 
 class TestSearcherIntegration:
     def test_engine_and_legacy_paths_agree(self, medium_graph, medium_queries):
         label = medium_graph.label_of(medium_queries[0])
         shared = SACSearcher(medium_graph, default_algorithm="appfast")
-        legacy = SACSearcher(
-            medium_graph, default_algorithm="appfast", share_preprocessing=False
-        )
-        _assert_identical(legacy.search(label, 4), shared.search(label, 4))
+        legacy = oracle_search(medium_graph, medium_queries[0], 4, algorithm="appfast")
+        _assert_identical(legacy, shared.search(label, 4))
         assert shared.engine.stats.queries_served == 1
-
-    def test_search_batch(self, medium_graph, medium_queries):
-        searcher = SACSearcher(medium_graph)
-        labels = [medium_graph.label_of(q) for q in medium_queries]
-        batch = searcher.search_batch(labels, 4)
-        assert batch.answered == len(medium_queries)
-        for query in medium_queries:
-            _assert_identical(
-                ALGORITHMS["appfast"](medium_graph, query, 4, epsilon_f=0.5),
-                batch.results[query],
-            )
 
     def test_missing_query_returns_none(self, star_graph):
         searcher = SACSearcher(star_graph)
@@ -161,18 +149,14 @@ class TestSearcherIntegration:
 class TestBatchEngineReuse:
     def test_external_engine_is_reused(self, medium_graph, medium_queries):
         engine = QueryEngine(medium_graph)
-        processor = BatchSACProcessor(medium_graph, 4, engine=engine)
-        batch = processor.run(medium_queries)
+        service = SACService(engine=engine, use_cache=False)
+        batch = service.submit_batch(medium_queries, 4)
         assert batch.answered == len(medium_queries)
         assert engine.stats.core_decompositions == 1
         # A second batch at the same k performs no new shared work.
         materialised = engine.stats.components_materialised
-        processor.run(medium_queries)
+        service.submit_batch(medium_queries, 4)
         assert engine.stats.components_materialised == materialised
-
-    def test_engine_graph_mismatch_rejected(self, medium_graph, two_triangle_graph):
-        with pytest.raises(InvalidParameterError):
-            BatchSACProcessor(medium_graph, 4, engine=QueryEngine(two_triangle_graph))
 
 
 class TestAppIncStatsSchema:

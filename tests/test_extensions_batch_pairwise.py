@@ -6,11 +6,11 @@ from repro.core.appfast import app_fast
 from repro.datasets.geosocial import brightkite_like
 from repro.exceptions import InvalidParameterError
 from repro.experiments.queries import select_query_vertices
-from repro.extensions.batch import BatchResult, BatchSACProcessor
 from repro.extensions.pairwise import pairwise_sac_search
 from repro.kcore.connected_core import is_connected
 from repro.metrics.spatial import average_pairwise_distance, diameter_distance
 from repro.metrics.structural import minimum_degree
+from repro.service import SACService
 
 
 @pytest.fixture(scope="module")
@@ -23,16 +23,22 @@ def queries(graph):
     return select_query_vertices(graph, 8, min_core=4, seed=2)
 
 
+def _service(graph):
+    """A batch service without an answer cache: every batch recomputes."""
+    return SACService(graph, use_cache=False)
+
+
 class TestBatchProcessor:
-    def test_invalid_arguments(self, graph):
+    def test_invalid_arguments(self, graph, queries):
         with pytest.raises(InvalidParameterError):
-            BatchSACProcessor(graph, 4, algorithm="bogus")
+            _service(graph).submit_batch(queries, 4, algorithm="bogus")
         with pytest.raises(InvalidParameterError):
-            BatchSACProcessor(graph, 0)
+            _service(graph).submit_batch(queries, 0)
 
     def test_batch_matches_single_queries(self, graph, queries):
-        processor = BatchSACProcessor(graph, 4, algorithm="appfast", algorithm_params={"epsilon_f": 0.5})
-        batch = processor.run(queries)
+        batch = _service(graph).submit_batch(
+            queries, 4, algorithm="appfast", epsilon_f=0.5
+        )
         assert batch.answered + len(batch.failed) == len(queries)
         for query, result in batch.results.items():
             single = app_fast(graph, query, 4, 0.5)
@@ -40,45 +46,28 @@ class TestBatchProcessor:
             assert result.members == single.members
 
     def test_all_results_are_feasible(self, graph, queries):
-        processor = BatchSACProcessor(graph, 4)
-        batch = processor.run(queries)
+        batch = _service(graph).submit_batch(queries, 4)
         for query, result in batch.results.items():
             assert query in result.members
             assert minimum_degree(graph, result.members) >= 4
             assert is_connected(graph, set(result.members))
 
     def test_failed_queries_reported(self, graph):
-        processor = BatchSACProcessor(graph, 4)
         low_degree_vertex = min(range(graph.num_vertices), key=graph.degree)
-        batch = processor.run([low_degree_vertex])
+        batch = _service(graph).submit_batch([low_degree_vertex], 4)
         if batch.answered == 0:
             assert batch.failed == [low_degree_vertex]
 
-    def test_eligible_queries_filter(self, graph, queries):
-        processor = BatchSACProcessor(graph, 4)
-        eligible = processor.eligible_queries(queries)
-        assert set(eligible) <= set(queries)
-        batch = processor.run(queries)
-        assert set(batch.results) <= set(eligible)
-
     def test_timing_fields_populated(self, graph, queries):
-        processor = BatchSACProcessor(graph, 4)
-        batch = processor.run(queries)
+        batch = _service(graph).submit_batch(queries, 4)
         assert batch.elapsed_seconds > 0.0
         assert 0.0 <= batch.shared_preprocessing_seconds <= batch.elapsed_seconds
 
-    def test_run_labels(self, graph, queries):
-        processor = BatchSACProcessor(graph, 4)
-        labels = [graph.label_of(q) for q in queries[:3]]
-        batch = processor.run_labels(labels)
-        assert isinstance(batch, BatchResult)
-        assert batch.answered + len(batch.failed) == 3
-
     def test_shared_preprocessing_is_reused(self, graph, queries):
-        """A second run on the same processor reuses the cached core numbers."""
-        processor = BatchSACProcessor(graph, 4)
-        first = processor.run(queries)
-        second = processor.run(queries)
+        """A second batch on the same service reuses the cached core numbers."""
+        service = _service(graph)
+        first = service.submit_batch(queries, 4)
+        second = service.submit_batch(queries, 4)
         assert second.shared_preprocessing_seconds <= first.shared_preprocessing_seconds + 1e-3
         assert second.answered == first.answered
 

@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.exceptions import GraphConstructionError, VertexNotFoundError
+from repro.exceptions import (
+    GraphConstructionError,
+    InvalidParameterError,
+    VertexNotFoundError,
+)
 from repro.graph.builder import GraphBuilder
 from repro.graph.spatial_graph import SpatialGraph
 
@@ -140,6 +144,18 @@ class TestLocationUpdates:
         graph = simple_graph()
         with pytest.raises(VertexNotFoundError):
             graph.with_updated_locations({42: (0.0, 0.0)})
+
+    @pytest.mark.parametrize("with_grid", [False, True])
+    def test_non_finite_location_refused_before_any_write(self, with_grid):
+        graph = simple_graph()
+        if with_grid:
+            assert graph.grid is not None  # built now; moves go through it
+        a = graph.index_of("a")
+        before = graph.coordinates.copy()
+        for x, y in ((math.nan, 0.5), (math.inf, 0.5), (0.5, -math.inf)):
+            with pytest.raises(InvalidParameterError):
+                graph.update_location(a, x, y)
+        assert np.array_equal(graph.coordinates, before)
 
 
 class TestSubgraphs:

@@ -24,6 +24,7 @@ from repro.geometry.grid import GridIndex
 from repro.graph.builder import GraphBuilder
 from repro.kcore.decomposition import core_numbers
 from repro.kcore.maintenance import demote_after_delete, promote_after_insert
+from repro.testing.oracle import oracle_timelines
 from repro.testing.strategies import random_spatial_graph as _random_graph
 
 
@@ -301,7 +302,7 @@ class TestIncrementalEngineParity:
 
 
 class TestTrackerParity:
-    """Regression: tracker replay on the Fig-13 stand-in, both paths."""
+    """Regression: tracker replay on the Fig-13 stand-in, against the oracle."""
 
     @pytest.fixture(scope="class")
     def fig13_workload(self):
@@ -319,13 +320,15 @@ class TestTrackerParity:
         return graph, checkins, queries
 
     def _track(self, workload, incremental):
+        """Replay incrementally through the tracker, or rebuild via the oracle."""
         graph, checkins, queries = workload
+        stream = LocationStream(graph, checkins)
+        if not incremental:
+            return None, oracle_timelines(
+                stream, queries, 3, algorithm="appfast", epsilon_f=0.5
+            )
         tracker = SACTracker(
-            LocationStream(graph, checkins),
-            k=3,
-            algorithm="appfast",
-            algorithm_params={"epsilon_f": 0.5},
-            incremental=incremental,
+            stream, k=3, algorithm="appfast", algorithm_params={"epsilon_f": 0.5}
         )
         return tracker, tracker.track(queries)
 

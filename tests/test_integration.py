@@ -5,6 +5,9 @@ benchmark harness, on small inputs, so regressions in cross-module plumbing
 are caught by the unit suite rather than only by the benchmarks.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro import SACSearcher
@@ -134,3 +137,13 @@ class TestPublicApiSurface:
         import repro
 
         assert repro.__version__.count(".") == 2
+
+    def test_version_matches_pyproject(self):
+        """``/healthz`` reports ``repro.__version__``; it must be the release's."""
+        import repro
+
+        # A regex, not tomllib: Python 3.10 has no TOML parser.
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+        version = re.search(r'^version\s*=\s*"([^"]+)"', project.group(1), re.M)
+        assert version.group(1) == repro.__version__

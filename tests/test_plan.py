@@ -99,12 +99,12 @@ class TestPlanShape:
         distinct = _queries_per_component(labels, int(labels.max()) + 1)
         queries = distinct * 3
 
-        fanned = engine.search_many(queries, 2)
+        fanned = SACService(engine=engine, use_cache=False).submit_batch(queries, 2)
         serial = oracle_batch(graph, distinct, 2)
 
-        assert set(fanned) == set(distinct)
+        assert set(fanned.results) == set(distinct)
         for query in distinct:
-            _assert_identical(serial[query], fanned[query], query)
+            _assert_identical(serial[query], fanned.results[query], query)
 
     def test_cache_hits_pruned_from_groups(self):
         graph, labels = _two_component_graph()
@@ -153,7 +153,7 @@ class TestPlanShape:
         assert plan.groups == []
         assert plan.order == []
         assert plan.planned == 0
-        assert engine.search_many([], 2) == {}
+        assert SACService(engine=engine, use_cache=False).submit_batch([], 2).results == {}
 
     def test_errors_and_failures_classified_per_occurrence(self):
         graph, labels = _two_component_graph()
@@ -223,12 +223,14 @@ class TestFactorisedParity:
         queries = base + duplicates
 
         engine = QueryEngine(graph)
-        planned = engine.search_many(queries, k, algorithm="appfast", epsilon_f=0.5)
+        planned = SACService(engine=engine, use_cache=False).submit_batch(
+            queries, k, algorithm="appfast", epsilon_f=0.5
+        )
         serial = oracle_batch(graph, queries, k, algorithm="appfast", epsilon_f=0.5)
 
-        assert set(planned) == set(serial)
+        assert set(planned.results) | set(planned.failed) == set(serial)
         for query in serial:
-            _assert_identical(serial[query], planned[query], (seed, k, query))
+            _assert_identical(serial[query], planned.results.get(query), (seed, k, query))
         # Only duplicates of answerable queries dedupe; duplicates of
         # no-community vertices stay per-occurrence entries in `failed`.
         counts = Counter(queries)

@@ -17,11 +17,19 @@ contract being pinned, from ``docs/serving.md``:
 
 from __future__ import annotations
 
+import asyncio
+import time
+
 import pytest
 
 from repro.datasets.geosocial import brightkite_like
 from repro.engine import IncrementalEngine
-from repro.replication import ReplicaServer
+from repro.replication import (
+    Coordinator,
+    CoordinatorConfig,
+    ReplicaServer,
+    start_coordinator_in_thread,
+)
 from repro.server import SACClient, ServerConfig, ServerError, start_in_thread
 from repro.service import SACService
 from repro.store import ArtifactStore
@@ -231,6 +239,33 @@ class TestReplicaReplay:
 
 
 class TestCoordinator:
+    def test_stop_survives_a_probe_that_swallows_the_cancel(self, monkeypatch):
+        """``stop`` returns even when the health probe drops its cancel."""
+        parked = []
+
+        async def probe(coordinator, backend, *, is_writer):
+            if not parked:
+                parked.append(backend)
+                try:
+                    await asyncio.Event().wait()  # parked until stop() cancels
+                except asyncio.CancelledError:
+                    pass  # what asyncio.wait_for does before Python 3.12
+            return True
+
+        monkeypatch.setattr(Coordinator, "_probe", probe)
+        handle = start_coordinator_in_thread(
+            CoordinatorConfig(
+                port=0,
+                writer="127.0.0.1:9",
+                replicas=("127.0.0.1:9",),
+                health_interval_ms=1.0,
+            )
+        )
+        while not parked:
+            time.sleep(0.01)
+        handle.stop(timeout=10.0)
+        assert not handle._thread.is_alive()
+
     def test_reads_round_robin_within_the_staleness_bound(
         self, snapshot, eligible, tmp_path
     ):

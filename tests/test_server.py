@@ -19,6 +19,7 @@ guarantees:
 from __future__ import annotations
 
 import asyncio
+import math
 import socket
 import threading
 import time
@@ -790,3 +791,66 @@ class TestRetryAfterAgreement:
         assert status == 429
         assert header == "3"
         assert payload["retry_after"] == 3
+
+
+class TestNonFiniteNumbers:
+    """``NaN`` / ``Infinity`` (accepted by Python's JSON decoder) are a 400.
+
+    A non-finite number must neither reach the engine nor echo back into a
+    response body, which would then not be valid JSON (RFC 8259).
+    """
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return brightkite_like(300, seed=3)
+
+    @pytest.fixture(scope="class")
+    def handle(self, graph):
+        handle = _serve(graph, poll_timeout_ms=500.0)
+        yield handle
+        handle.stop()
+
+    @pytest.fixture(scope="class")
+    def label(self, graph):
+        return _eligible_labels(QueryEngine(graph), 1)[0]
+
+    @staticmethod
+    def _status(call) -> int:
+        with pytest.raises(ServerError) as excinfo:
+            call()
+        return excinfo.value.status
+
+    def test_non_finite_checkin_is_a_400_and_moves_nothing(self, handle, graph, label):
+        live = handle.server.service
+        vertex = live.graph.index_of(label)
+        before = live.graph.coordinates[vertex].copy()
+        with SACClient(handle.host, handle.port) as client:
+            answer = client.query(label, K, params=EPS)
+            for x in (math.nan, math.inf):
+                assert self._status(lambda: client.checkin(label, x, 0.5)) == 400
+            assert live.graph.coordinates[vertex].tolist() == before.tolist()
+            assert live.engine.stats.location_updates == 0
+            assert client.query(label, K, params=EPS) == answer
+
+    def test_infinite_deadline_is_a_400(self, handle, label):
+        with SACClient(handle.host, handle.port) as client:
+            status = self._status(lambda: client.query(label, K, deadline_ms=math.inf))
+        assert status == 400
+
+    @pytest.mark.parametrize("endpoint", ["query", "batch"])
+    def test_nan_epsilon_is_a_400(self, handle, label, endpoint):
+        vertex = label if endpoint == "query" else [label]
+        with SACClient(handle.host, handle.port) as client:
+            send = getattr(client, endpoint)
+            status = self._status(lambda: send(vertex, K, params={"epsilon_f": math.nan}))
+        assert status == 400
+
+    def test_nan_poll_timeout_is_a_400_not_a_park_past_the_cap(self, handle, label):
+        with SACClient(handle.host, handle.port, timeout=5.0) as client:
+            sub = client.subscribe(label, K, params=EPS)
+            try:
+                for raw in ("nan", "inf"):
+                    path = f"/subscribe?id={sub['id']}&timeout_ms={raw}"
+                    assert self._status(lambda: client._request("GET", path)) == 400
+            finally:
+                client.unsubscribe(sub["id"])

@@ -14,9 +14,8 @@ import pytest
 from repro.core.searcher import ALGORITHMS
 from repro.datasets.geosocial import brightkite_like
 from repro.engine import IncrementalEngine, QueryEngine
-from repro.exceptions import InvalidParameterError, NoCommunityError, VertexNotFoundError
+from repro.exceptions import InvalidParameterError, NoCommunityError
 from repro.experiments.queries import select_query_vertices
-from repro.extensions.batch import BatchSACProcessor
 from repro.engine.plan import plan_batch
 from repro.service import AnswerCache, SACService, ShardedExecutor
 from repro.store import SharedArrayPack
@@ -351,61 +350,34 @@ class TestSACService:
         with pytest.raises(InvalidParameterError):
             service.submit_batch([], 4, algorithm="bogus")
 
+    def test_invalid_k_raises_even_for_empty_batch(self, graph, queries):
+        service = SACService(graph)
+        for batch in (queries[:2], []):
+            with pytest.raises(InvalidParameterError, match="k must be a positive integer"):
+                service.submit_batch(batch, 0)
+
 
 class TestBatchProcessorIntegration:
     def test_workers_and_cache_flags_are_wired(self, graph, queries):
-        serial = BatchSACProcessor(graph, 4, algorithm_params={"epsilon_f": 0.5})
-        parallel = BatchSACProcessor(
-            graph, 4, algorithm_params={"epsilon_f": 0.5}, workers=2, use_cache=True
-        )
-        reference = serial.run(queries)
-        first = parallel.run(queries)
-        second = parallel.run(queries)
+        serial = SACService(graph, use_cache=False)
+        parallel = SACService(graph, workers=2, use_cache=True)
+        try:
+            reference = serial.submit_batch(queries, 4, epsilon_f=0.5)
+            first = parallel.submit_batch(queries, 4, epsilon_f=0.5)
+            second = parallel.submit_batch(queries, 4, epsilon_f=0.5)
+        finally:
+            parallel.close()
         assert second.cache_hits == len(queries)
         for q in reference.results:
             _assert_identical(reference.results[q], first.results[q])
             _assert_identical(reference.results[q], second.results[q])
 
     def test_out_of_range_query_lands_in_errors(self, graph, queries):
-        processor = BatchSACProcessor(graph, 4)
-        batch = processor.run(list(queries[:2]) + [graph.num_vertices + 1])
+        service = SACService(graph, use_cache=False)
+        batch = service.submit_batch(list(queries[:2]) + [graph.num_vertices + 1], 4)
         assert batch.answered == 2
         assert list(batch.errors) == [graph.num_vertices + 1]
         assert not batch.failed
-
-
-class TestSearchManyErrorSurfacing:
-    def test_errors_dict_collects_per_query_failures(self, graph, queries):
-        engine = QueryEngine(graph)
-        errors = {}
-        bad = graph.num_vertices + 3
-        results = engine.search_many(
-            [queries[0], bad], 4, algorithm="appfast", errors=errors
-        )
-        assert results[queries[0]] is not None
-        assert results[bad] is None
-        assert bad in errors and str(bad) in errors[bad]
-
-    def test_without_errors_dict_per_query_error_raises(self, graph, queries):
-        engine = QueryEngine(graph)
-        with pytest.raises(VertexNotFoundError):
-            engine.search_many([queries[0], graph.num_vertices + 3], 4)
-
-    def test_invalid_k_fails_each_query(self, graph, queries):
-        engine = QueryEngine(graph)
-        errors = {}
-        results = engine.search_many(queries[:2], 0, errors=errors)
-        assert results == dict.fromkeys(queries[:2])
-        assert set(errors) == set(queries[:2])
-        assert all("k must be a positive integer" in m for m in errors.values())
-        with pytest.raises(InvalidParameterError):
-            engine.search_many(queries[:2], 0)
-        assert engine.search_many([], 0) == {}
-
-    def test_unknown_algorithm_always_raises(self, graph, queries):
-        engine = QueryEngine(graph)
-        with pytest.raises(InvalidParameterError):
-            engine.search_many(queries, 4, algorithm="bogus", errors={})
 
 
 class TestEngineInvalidationCounters:

@@ -28,6 +28,7 @@ Run separately with ``pytest -m subscriptions``; the suite is also tier 1.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -510,6 +511,36 @@ class TestSoakAndChaos:
                 # silent: re-resolution is not an observable change.
                 quiet_poll = sub_client.poll(still["id"], timeout_ms=100)
                 assert quiet_poll["messages"] == []
+
+    def test_replica_publishes_applied_lsn_after_queueing_deltas(
+        self, base_graph, tmp_path, monkeypatch
+    ):
+        """Once ``applied_lsn`` reaches a mutation, its delta is already queued.
+
+        Re-evaluation is slowed to 300 ms, so a replica that published its
+        replay position before re-evaluating its subscriptions is caught:
+        the poll right after ``wait_applied`` does not park and would find
+        nothing yet.
+        """
+        evaluate = SubscriptionRegistry.evaluate
+
+        def slow_evaluate(registry, *args, **kwargs):
+            time.sleep(0.3)
+            return evaluate(registry, *args, **kwargs)
+
+        snapshot = self._snapshot(base_graph, tmp_path)
+        moved = eligible_labels(IncrementalEngine.from_store(snapshot), 1)[0]
+        with Tier(snapshot, tmp_path / "wal", replicas=1) as tier:
+            replica = tier.replicas[0]
+            with SACClient("127.0.0.1", replica.port) as sub_client:
+                sub = sub_client.subscribe(moved, K, params=EPS)
+                monkeypatch.setattr(SubscriptionRegistry, "evaluate", slow_evaluate)
+                with tier.client() as writer_client:
+                    lsn = writer_client.checkin(moved, 0.99, 0.99)["lsn"]
+                wait_applied(replica, lsn)
+                messages = sub_client.poll(sub["id"], timeout_ms=0)["messages"]
+        assert [message["type"] for message in messages] == ["delta"]
+        assert messages[0]["lsn"] == lsn
 
     def test_stream_drain_terminates_cleanly_and_leaks_nothing(
         self, base_graph
