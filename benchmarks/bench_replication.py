@@ -73,7 +73,6 @@ def _build_snapshot(root: Path) -> tuple[str, list[int]]:
     ]
     store = root / "store"
     builder.save(str(store))
-    builder.close()
     return str(store), eligible
 
 
@@ -152,9 +151,6 @@ class _Oracle:
             "radius": result.circle.radius,
         }
 
-    def close(self) -> None:
-        self.service.close()
-
 
 def _mutation_trace(eligible: list[int], count: int) -> list[dict]:
     """``count`` check-ins cycling the eligible vertices over fixed coords."""
@@ -222,7 +218,6 @@ def run_bit_identity(
             routing = tier.client.stats()["routing"]
         finally:
             tier.close()
-            oracle.close()
     return {
         "mutations": mutations,
         "reads": reads,

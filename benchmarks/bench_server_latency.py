@@ -27,7 +27,7 @@ Run standalone::
 
     python benchmarks/bench_server_latency.py            # full workload
     python benchmarks/bench_server_latency.py --quick    # CI smoke
-    python benchmarks/bench_server_latency.py --workers 4 --threads 16
+    python benchmarks/bench_server_latency.py --threads 16
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _time_concurrent(address, jobs, threads):
     return responses, time.perf_counter() - start
 
 
-def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, threads, workers, linger_ms):
+def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, threads, linger_ms):
     """Benchmark each dataset's server; returns ``(rows, all_identical)``."""
     rows = []
     identical = True
@@ -119,7 +119,7 @@ def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, th
             for query in queries
         ]
 
-        service = SACService(graph, workers=workers or None, use_cache=False)
+        service = SACService(graph, use_cache=False)
         service.warm(k)  # both passes start from warm engine artifacts
         handle = start_in_thread(
             service,
@@ -184,10 +184,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=None, help="dataset scale multiplier")
     parser.add_argument("--queries", type=int, default=None, help="queries per dataset")
     parser.add_argument("--threads", type=int, default=16, help="concurrent client threads")
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="server-side process-pool size (0 = serial execution inside the daemon)",
-    )
     parser.add_argument("--linger-ms", type=float, default=5.0, help="server micro-batch linger")
     parser.add_argument("--k", type=int, default=4)
     parser.add_argument("--epsilon-f", type=float, default=0.5)
@@ -205,7 +201,7 @@ def main(argv=None) -> int:
 
     print(
         f"server latency benchmark: datasets={names} scale={scale} queries={queries} "
-        f"threads={args.threads} workers={args.workers} linger={args.linger_ms}ms k={args.k}"
+        f"threads={args.threads} linger={args.linger_ms}ms k={args.k}"
     )
     rows, identical = run_benchmark(
         names,
@@ -214,7 +210,6 @@ def main(argv=None) -> int:
         k=args.k,
         epsilon_f=args.epsilon_f,
         threads=args.threads,
-        workers=args.workers,
         linger_ms=args.linger_ms,
     )
     write_result(

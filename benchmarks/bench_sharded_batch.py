@@ -1,22 +1,20 @@
-"""Sharded + cached batch serving benchmark vs. the planned serial executor.
+"""Cached batch serving benchmark vs. the planned serial executor.
 
 Models the paper's Table-4-style serving scenario: the same batch of popular
 query vertices is answered repeatedly (applications re-query every refresh).
-Three execution paths answer the identical workload:
+Two execution paths answer the identical workload:
 
-* **serial** — :class:`repro.service.ShardedExecutor` with ``workers=0``:
-  each batch planned and answered in-process through the factorised group
-  executor, every round recomputed — the path the pool competes with;
-* **sharded** — the same executor with a process pool, the plan's groups
-  shipped to workers as shared-memory shards, no answer cache;
-* **service** — :class:`repro.service.SACService` with the pool *and* the
-  persistent answer cache, so repeat rounds are served from cache.
+* **serial** — :class:`repro.service.SACService` with ``use_cache=False``:
+  each batch planned and answered in-process one k-ĉore component at a
+  time (:func:`repro.service.sharding.run_plan`), every round recomputed;
+* **service** — the same service with its persistent answer cache, so
+  repeat rounds are served from cache.
 
-All three must return bit-identical results (member sets, circle floats,
-stats) — the benchmark exits non-zero if they ever diverge.  Throughput is
-reported per path: ``sharded_speedup`` is the pool against the planned
-serial path, and the headline ``service`` speedup adds cache hits on repeat
-rounds; the benchmark prints whether the ≥2× service target was met.
+Both must return bit-identical results (member sets, circle floats, stats)
+— the benchmark exits non-zero if they ever diverge.  Throughput is
+reported per path, and the headline ``service`` speedup over the planned
+serial path comes from cache hits on repeat rounds; the benchmark prints
+whether the ≥2× service target was met.
 
 An **overlap sweep** mode (``--overlap-sweep``) measures the factorised
 batch planner instead: the same base queries are duplicated 1×/2×/4×/8× and
@@ -27,14 +25,14 @@ shares each
 ``(component, k)`` group's candidate artifacts and distance matrix, so its
 per-query cost drops superlinearly with overlap (speedup at factor *f*
 exceeds *f*).  The sweep re-checks bit-identity across the planned,
-per-query, sharded, and cached paths and exits non-zero when answers
-diverge or the plan's factorisation counters stay zero.
+per-query, and cached paths and exits non-zero when answers diverge or the
+plan's factorisation counters stay zero.
 
 Run standalone::
 
     python benchmarks/bench_sharded_batch.py                 # full workload
     python benchmarks/bench_sharded_batch.py --quick         # CI smoke
-    python benchmarks/bench_sharded_batch.py --workers 4 --rounds 4
+    python benchmarks/bench_sharded_batch.py --rounds 4
     python benchmarks/bench_sharded_batch.py --quick --overlap-sweep
 """
 
@@ -53,7 +51,7 @@ from bench_common import write_result
 from repro.datasets.registry import load_dataset
 from repro.engine import QueryEngine
 from repro.experiments.queries import select_query_vertices
-from repro.service import SACService, ShardedExecutor
+from repro.service import SACService
 
 
 def _identical(first, second) -> bool:
@@ -67,22 +65,9 @@ def _identical(first, second) -> bool:
     )
 
 
-def _time_executor(graph, queries, k, rounds, epsilon_f, workers):
-    """Planned executor, cache off: every round recomputes (pool if ``workers``)."""
-    executor = ShardedExecutor(QueryEngine(graph), workers=workers)
-    results = {}
-    start = time.perf_counter()
-    for _ in range(rounds):
-        batch = executor.run(queries, k, algorithm="appfast", epsilon_f=epsilon_f)
-        results.update(batch.results)
-    elapsed = time.perf_counter() - start
-    executor.close()
-    return results, elapsed
-
-
-def _time_service(graph, queries, k, rounds, epsilon_f, workers):
-    """Full serving layer: pool + persistent answer cache across rounds."""
-    service = SACService(graph, workers=workers)
+def _time_service(graph, queries, k, rounds, epsilon_f, use_cache):
+    """Answer the batch ``rounds`` times; returns ``(results, seconds, hits)``."""
+    service = SACService(graph, use_cache=use_cache)
     results = {}
     cache_hits = 0
     start = time.perf_counter()
@@ -91,15 +76,14 @@ def _time_service(graph, queries, k, rounds, epsilon_f, workers):
         results.update(batch.results)
         cache_hits += batch.cache_hits
     elapsed = time.perf_counter() - start
-    service.close()
     return results, elapsed, cache_hits
 
 
-def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, rounds, workers):
-    """Time the three paths per dataset; returns ``(rows, all_identical)``."""
+def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, rounds):
+    """Time the two paths per dataset; returns ``(rows, all_identical)``."""
     rows = []
     identical = True
-    totals = {"queries": 0, "serial": 0.0, "sharded": 0.0, "service": 0.0}
+    totals = {"queries": 0, "serial": 0.0, "service": 0.0}
 
     for name in dataset_names:
         graph = load_dataset(name, scale=scale)
@@ -111,27 +95,19 @@ def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, ro
             continue
         total_queries = len(queries) * rounds
 
-        serial_results, serial_time = _time_executor(
-            graph, queries, k, rounds, epsilon_f, 0
-        )
-        sharded_results, sharded_time = _time_executor(
-            graph, queries, k, rounds, epsilon_f, workers
+        serial_results, serial_time, _ = _time_service(
+            graph, queries, k, rounds, epsilon_f, False
         )
         service_results, service_time, cache_hits = _time_service(
-            graph, queries, k, rounds, epsilon_f, workers
+            graph, queries, k, rounds, epsilon_f, True
         )
 
-        matches = set(serial_results) == set(sharded_results) == set(service_results)
-        if matches:
-            matches = all(
-                _identical(serial_results[q], sharded_results[q])
-                and _identical(serial_results[q], service_results[q])
-                for q in serial_results
-            )
+        matches = set(serial_results) == set(service_results) and all(
+            _identical(serial_results[q], service_results[q]) for q in serial_results
+        )
         identical &= matches
         totals["queries"] += total_queries
         totals["serial"] += serial_time
-        totals["sharded"] += sharded_time
         totals["service"] += service_time
         rows.append(
             {
@@ -139,9 +115,7 @@ def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, ro
                 "vertices": graph.num_vertices,
                 "queries": total_queries,
                 "serial_qps": round(total_queries / serial_time, 2),
-                "sharded_qps": round(total_queries / sharded_time, 2),
                 "service_qps": round(total_queries / service_time, 2),
-                "sharded_speedup": round(serial_time / sharded_time, 2),
                 "service_speedup": round(serial_time / service_time, 2),
                 "cache_hits": cache_hits,
                 "identical": matches,
@@ -155,9 +129,7 @@ def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, ro
                 "vertices": "",
                 "queries": totals["queries"],
                 "serial_qps": round(totals["queries"] / totals["serial"], 2),
-                "sharded_qps": round(totals["queries"] / totals["sharded"], 2),
                 "service_qps": round(totals["queries"] / totals["service"], 2),
-                "sharded_speedup": round(totals["serial"] / totals["sharded"], 2),
                 "service_speedup": round(totals["serial"] / totals["service"], 2),
                 "cache_hits": "",
                 "identical": identical,
@@ -166,27 +138,19 @@ def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, ro
     return rows, identical
 
 
-def _sweep_variants_identical(planned, serial, sharded, cached) -> bool:
-    """Check the four execution paths agree bitwise on every answered query."""
+def _sweep_variants_identical(planned, serial, cached) -> bool:
+    """Check the three execution paths agree bitwise on every answered query."""
     answered = {q for q, result in planned.items() if result is not None}
-    others = (
-        {q for q, result in serial.items() if result is not None},
-        set(sharded),
-        set(cached),
-    )
+    others = ({q for q, result in serial.items() if result is not None}, set(cached))
     if any(other != answered for other in others):
         return False
     return all(
-        _identical(planned[q], serial[q])
-        and _identical(planned[q], sharded[q])
-        and _identical(planned[q], cached[q])
+        _identical(planned[q], serial[q]) and _identical(planned[q], cached[q])
         for q in answered
     )
 
 
-def run_overlap_sweep(
-    dataset_name, *, scale, base_queries, factors, k, epsilon_f, workers
-):
+def run_overlap_sweep(dataset_name, *, scale, base_queries, factors, k, epsilon_f):
     """Duplicate a base batch by each factor; time planned vs a search loop.
 
     Returns ``(rows, identical, counters, superlinear)`` where ``counters``
@@ -209,8 +173,7 @@ def run_overlap_sweep(
     planned_service.submit_batch(base, k, algorithm="appfast", epsilon_f=epsilon_f)
     for query in base:
         serial_engine.search(query, k, algorithm="appfast", epsilon_f=epsilon_f)
-    executor = ShardedExecutor(QueryEngine(graph), workers=workers)
-    service = SACService(graph, workers=workers)
+    service = SACService(graph)
 
     rows = []
     identical = True
@@ -233,14 +196,11 @@ def run_overlap_sweep(
         }
         serial_time = time.perf_counter() - start
 
-        sharded = executor.run(
-            batch, k, algorithm="appfast", epsilon_f=epsilon_f
-        ).results
         cached = service.submit_batch(
             batch, k, algorithm="appfast", epsilon_f=epsilon_f
         ).results
 
-        matches = _sweep_variants_identical(planned, serial, sharded, cached)
+        matches = _sweep_variants_identical(planned, serial, cached)
         identical &= matches
         speedup = serial_time / planned_time if planned_time > 0 else float("inf")
         speedup_by_factor[factor] = speedup
@@ -255,8 +215,6 @@ def run_overlap_sweep(
                 "identical": matches,
             }
         )
-    executor.close()
-    service.close()
 
     stats = planned_engine.stats
     counters = {
@@ -278,7 +236,7 @@ def main(argv=None) -> int:
         "--overlap-sweep",
         action="store_true",
         help="sweep batch-overlap factors through the factorised planner "
-        "instead of running the three-path serving benchmark",
+        "instead of running the two-path serving benchmark",
     )
     parser.add_argument(
         "--overlap-factors",
@@ -294,7 +252,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=None, help="dataset scale multiplier")
     parser.add_argument("--queries", type=int, default=None, help="queries per batch")
     parser.add_argument("--rounds", type=int, default=None, help="repeat rounds per batch")
-    parser.add_argument("--workers", type=int, default=4, help="process-pool size")
     parser.add_argument("--k", type=int, default=4)
     parser.add_argument("--epsilon-f", type=float, default=0.5)
     parser.add_argument(
@@ -321,8 +278,7 @@ def main(argv=None) -> int:
         dataset = names[0]
         print(
             f"batch-overlap sweep: dataset={dataset} scale={scale} "
-            f"base_queries={base_queries} factors={factors} workers={args.workers} "
-            f"k={args.k}"
+            f"base_queries={base_queries} factors={factors} k={args.k}"
         )
         rows, identical, counters, superlinear = run_overlap_sweep(
             dataset,
@@ -331,7 +287,6 @@ def main(argv=None) -> int:
             factors=factors,
             k=args.k,
             epsilon_f=args.epsilon_f,
-            workers=args.workers,
         )
         write_result(
             "sharded_batch_overlap",
@@ -364,8 +319,8 @@ def main(argv=None) -> int:
         return 0
 
     print(
-        f"sharded batch benchmark: datasets={names} scale={scale} queries={queries} "
-        f"rounds={rounds} workers={args.workers} k={args.k}"
+        f"batch serving benchmark: datasets={names} scale={scale} queries={queries} "
+        f"rounds={rounds} k={args.k}"
     )
     rows, identical = run_benchmark(
         names,
@@ -374,11 +329,10 @@ def main(argv=None) -> int:
         k=args.k,
         epsilon_f=args.epsilon_f,
         rounds=rounds,
-        workers=args.workers,
     )
     write_result(
         "sharded_batch",
-        "Serving-layer batch throughput (planned serial vs sharded vs cached service)",
+        "Serving-layer batch throughput (planned serial vs cached service)",
         rows,
     )
     if not identical:
@@ -388,8 +342,7 @@ def main(argv=None) -> int:
     if overall is not None:
         target = "met" if overall["service_speedup"] >= 2.0 else "NOT met (machine-dependent)"
         print(
-            f"overall: sharded {overall['sharded_speedup']}x, "
-            f"service {overall['service_speedup']}x vs planned serial "
+            f"overall: service {overall['service_speedup']}x vs planned serial "
             f"({overall['service_qps']} q/s) — >=2x target {target}"
         )
     return 0

@@ -1,27 +1,20 @@
-"""Warm-start benchmark: snapshot readiness and shard-dispatch cost.
+"""Warm-start benchmark: snapshot readiness and time-to-first-answer.
 
-Measures the two claims of the storage layer against the pre-store paths,
-with byte-identical answers enforced throughout:
-
-* **Engine readiness / time-to-first-answer** — a *cold* start loads the
-  cached dataset ``.npz``, builds a :class:`repro.engine.QueryEngine`, and
-  materialises every per-component artifact bundle at the serving ``k``
-  (core decomposition, k-ĉore labelling, per-component grids and local
-  CSRs — the state a server needs before it can answer arbitrary traffic
-  without build hiccups).  A *warm* start reaches the **same**
-  fully-materialised state by opening an :class:`repro.store.ArtifactStore`
-  snapshot memory-mapped via ``QueryEngine.from_store``.  *Readiness* is
-  the time until that state stands — the cold start this layer exists to
-  eliminate, targeted at **≥ 10×** faster.  *Time-to-first-answer* adds one
-  identical first query on top of each path (its search cost is
-  path-independent, so the TTFA ratio is readiness diluted by however
-  expensive the first query happens to be).
-* **Per-batch dispatch bytes** — the same repeated batch is served by a
-  :class:`repro.service.ShardedExecutor` process pool, which publishes the
-  component arrays once into shared memory and sends per-batch messages
-  carrying only query ids.  Reported from the executor's own
-  ``ExecutorStats`` byte counters: the per-batch task bytes against the
-  bytes shared once.
+Measures the storage layer's claim against the pre-store path, with
+byte-identical answers enforced throughout: **engine readiness /
+time-to-first-answer**.  A *cold* start loads the cached dataset ``.npz``,
+builds a :class:`repro.engine.QueryEngine`, and materialises every
+per-component artifact bundle at the serving ``k`` (core decomposition,
+k-ĉore labelling, per-component grids and local CSRs — the state a server
+needs before it can answer arbitrary traffic without build hiccups).  A
+*warm* start reaches the **same** fully-materialised state by opening an
+:class:`repro.store.ArtifactStore` snapshot memory-mapped via
+``QueryEngine.from_store``.  *Readiness* is the time until that state
+stands — the cold start this layer exists to eliminate, targeted at
+**≥ 10×** faster.  *Time-to-first-answer* adds one identical first query on
+top of each path (its search cost is path-independent, so the TTFA ratio is
+readiness diluted by however expensive the first query happens to be).
+Every batch query is then answered by both engines and compared bitwise.
 
 Run standalone::
 
@@ -46,7 +39,6 @@ from repro.datasets.registry import load_dataset
 from repro.engine import QueryEngine
 from repro.experiments.queries import select_query_vertices
 from repro.graph.io import load_graph_npz
-from repro.service import ShardedExecutor
 from repro.store import ArtifactStore
 
 
@@ -97,30 +89,8 @@ def _time_warm_start(store_path, query, k, epsilon_f):
     return result, ready, time.perf_counter() - start, engine
 
 
-def _dispatch_costs(store_path, queries, k, epsilon_f, workers, rounds, reference):
-    """Serve the same repeated batch on the shared-memory pool.
-
-    Returns the byte costs from the executor's counters plus whether every
-    answer matched ``reference`` bitwise.
-    """
-    identical = True
-    executor = ShardedExecutor(QueryEngine.from_store(store_path), workers=workers)
-    for _round in range(rounds):
-        batch = executor.run(queries, k, algorithm="appfast", epsilon_f=epsilon_f)
-        for query, result in batch.results.items():
-            identical &= _identical(result, reference[query])
-    stats = executor.stats
-    executor.close()
-    costs = {
-        "per_batch_bytes": stats.bytes_dispatched / rounds,
-        "shared_once": stats.bytes_shared,
-        "fallbacks": stats.serial_fallbacks,
-    }
-    return costs, identical
-
-
-def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, workers, rounds):
-    """Measure warm-start readiness and dispatch bytes per dataset."""
+def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f):
+    """Measure warm-start readiness per dataset."""
     rows = []
     identical = True
     speedups = []
@@ -148,20 +118,11 @@ def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, wo
                 store_path, queries[0], k, epsilon_f
             )
             matches = _identical(cold_result, warm_result)
-            reference = {}
             for query in queries:
-                reference[query] = cold_engine.search(
-                    query, k, algorithm="appfast", epsilon_f=epsilon_f
-                )
                 matches &= _identical(
-                    reference[query],
+                    cold_engine.search(query, k, algorithm="appfast", epsilon_f=epsilon_f),
                     warm_engine.search(query, k, algorithm="appfast", epsilon_f=epsilon_f),
                 )
-
-            costs, dispatch_matches = _dispatch_costs(
-                store_path, queries, k, epsilon_f, workers, rounds, reference
-            )
-            matches &= dispatch_matches
             identical &= matches
             speedup = cold_ready / warm_ready if warm_ready > 0 else float("inf")
             speedups.append(speedup)
@@ -176,9 +137,6 @@ def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, wo
                         cold_seconds / warm_seconds if warm_seconds > 0 else float("inf"),
                         1,
                     ),
-                    "shm_B_per_batch": int(costs["per_batch_bytes"]),
-                    "shm_B_shared_once": int(costs["shared_once"]),
-                    "fallbacks": costs["fallbacks"],
                     "identical": matches,
                 }
             )
@@ -191,8 +149,6 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true", help="small CI smoke workload")
     parser.add_argument("--scale", type=float, default=None, help="dataset scale multiplier")
     parser.add_argument("--queries", type=int, default=None, help="queries per batch")
-    parser.add_argument("--rounds", type=int, default=None, help="dispatch rounds")
-    parser.add_argument("--workers", type=int, default=2, help="process-pool size")
     parser.add_argument("--k", type=int, default=4)
     parser.add_argument("--epsilon-f", type=float, default=0.5)
     parser.add_argument(
@@ -204,12 +160,11 @@ def main(argv=None) -> int:
 
     scale = args.scale if args.scale is not None else (0.5 if args.quick else 2.0)
     queries = args.queries if args.queries is not None else (12 if args.quick else 48)
-    rounds = args.rounds if args.rounds is not None else (2 if args.quick else 4)
     names = [name.strip() for name in args.datasets.split(",") if name.strip()]
 
     print(
         f"store warm-start benchmark: datasets={names} scale={scale} "
-        f"queries={queries} rounds={rounds} workers={args.workers} k={args.k}"
+        f"queries={queries} k={args.k}"
     )
     rows, identical, speedups = run_benchmark(
         names,
@@ -217,29 +172,21 @@ def main(argv=None) -> int:
         queries_per_dataset=queries,
         k=args.k,
         epsilon_f=args.epsilon_f,
-        workers=args.workers,
-        rounds=rounds,
     )
     write_result(
         "store_warmstart",
-        "Snapshot warm start (time-to-first-answer) and shard dispatch bytes",
+        "Snapshot warm start (time-to-first-answer)",
         rows,
     )
     if not identical:
-        print("FAIL: warm-started or shard answers diverged from cold build", file=sys.stderr)
+        print("FAIL: warm-started answers diverged from cold build", file=sys.stderr)
         return 1
     if rows:
         worst = min(speedups)
         target = "met" if worst >= 10.0 else "NOT met (machine/scale-dependent)"
-        ratios = [
-            row["shm_B_shared_once"] / row["shm_B_per_batch"]
-            for row in rows
-            if row["shm_B_per_batch"]
-        ]
         print(
             f"overall: engine readiness {worst:.1f}x faster at worst from a "
-            f"snapshot (target >=10x {target}); per-batch task messages are "
-            f"{min(ratios):.0f}x smaller at worst than the arrays shared once"
+            f"snapshot (target >=10x {target})"
         )
     return 0
 

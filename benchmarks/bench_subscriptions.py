@@ -183,7 +183,6 @@ def main(argv=None) -> int:
 
     base = _build_service(num_vertices)
     eligible = _eligible(base.engine)
-    base.close()
     # The standing population watches ~10 subscriptions per distinct vertex
     # (many clients tracking the same users), the fan-in the registry's
     # dedupe + shared candidate fetch is built for; the quick scale keeps
@@ -197,7 +196,6 @@ def main(argv=None) -> int:
     push_service = _build_service(num_vertices)
     push_trace = _checkin_stream(push_service.graph, users, push_steps)
     push = run_push(push_service, standing, push_trace)
-    push_service.close()
 
     naive_service = _build_service(num_vertices)
     # The naive contender replays a prefix of the same stream: its per-step
@@ -205,7 +203,6 @@ def main(argv=None) -> int:
     # so a short prefix prices it fairly without hour-long runs.
     naive_trace = _checkin_stream(naive_service.graph, users, naive_steps)
     naive = run_naive(naive_service, standing, naive_trace)
-    naive_service.close()
 
     speedup = naive["per_step_ms"] / max(push["per_step_ms"], 1e-9)
     row = {

@@ -31,12 +31,11 @@ Public surface
   and edge updates to its bound graph in place and repairs the caches
   incrementally instead of rebuilding them.
 * :class:`repro.SACService` — the serving layer and the one batch entry
-  point: :meth:`~repro.SACService.submit_batch` plans a batch once and
-  answers it with sharded parallel execution over a process pool plus a
+  point: :meth:`~repro.SACService.submit_batch` plans a batch once,
+  answers it in process one k-ĉore component at a time, and keeps a
   persistent, component-version invalidated answer cache
-  (:class:`repro.ShardedExecutor`, :class:`repro.AnswerCache`), returning
-  a :class:`repro.BatchResult`; ``save``/``open`` persist it through the
-  artifact store.
+  (:class:`repro.AnswerCache`), returning a :class:`repro.BatchResult`;
+  ``save``/``open`` persist it through the artifact store.
 * :class:`repro.ArtifactStore` — the storage layer: snapshot a graph plus
   every engine artifact to disk, reopen memory-mapped, warm-start engines
   via :meth:`repro.QueryEngine.from_store` with bit-identical answers.
@@ -67,7 +66,7 @@ from repro.core import (
     theta_sac,
 )
 from repro.engine import EngineStats, IncrementalEngine, QueryEngine
-from repro.service import AnswerCache, BatchResult, SACService, ShardedExecutor
+from repro.service import AnswerCache, BatchResult, SACService
 from repro.exceptions import (
     DatasetError,
     GraphConstructionError,
@@ -80,7 +79,7 @@ from repro.graph import GraphBuilder, SpatialGraph
 from repro.server import SACClient, SACServer, ServerConfig
 from repro.store import ArtifactStore
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",
@@ -93,7 +92,6 @@ __all__ = [
     "EngineStats",
     "BatchResult",
     "SACService",
-    "ShardedExecutor",
     "AnswerCache",
     "ArtifactStore",
     "SACServer",

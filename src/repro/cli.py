@@ -17,9 +17,9 @@ Three subcommands cover the common workflows of a downstream user:
 
 ``serve-batch``
     Run repeated batches through the full serving layer
-    (:class:`repro.service.SACService`): shards execute on a process pool
-    partitioned by k-ĉore component, and an answer cache persists across
-    rounds.  Prints per-round throughput plus shard/cache statistics.
+    (:class:`repro.service.SACService`): each batch executes one k-ĉore
+    component at a time, and an answer cache persists across rounds.
+    Prints per-round throughput plus cache/engine statistics.
 
 ``track``
     Replay a check-in stream (from a file, or synthesised on the fly) and
@@ -56,8 +56,8 @@ Examples
     python -m repro.cli query graph.npz --vertex 42 --k 4 --algorithm exact+
     python -m repro.cli batch graph.npz --count 64 --k 4 --algorithm appfast
     python -m repro.cli snapshot graph.npz --out graph.store --ks 4
-    python -m repro.cli serve-batch --store graph.store --count 64 --k 4 --workers 4
-    python -m repro.cli serve --store graph.store --port 8080 --workers 4
+    python -m repro.cli serve-batch --store graph.store --count 64 --k 4
+    python -m repro.cli serve --store graph.store --port 8080
     python -m repro.cli track --store graph.store --track-count 8 --k 4
     python -m repro.cli stats graph.npz
 
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve-batch",
-        help="run repeated batches through the sharded, answer-cached serving layer",
+        help="run repeated batches through the planned, answer-cached serving layer",
     )
     serve.add_argument(
         "graph", nargs="?", help="graph .npz file produced by `generate`"
@@ -169,12 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--epsilon-f", type=float, default=0.5, help="AppFast slack")
     serve.add_argument("--epsilon-a", type=float, default=0.5, help="AppAcc / Exact+ accuracy")
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="process-pool size for sharded execution (0 serves serially)",
-    )
     serve.add_argument(
         "--rounds",
         type=int,
@@ -210,12 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     daemon.add_argument("--host", default="127.0.0.1", help="listen address")
     daemon.add_argument(
         "--port", type=int, default=8080, help="listen port (0 binds an ephemeral port)"
-    )
-    daemon.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-pool size for sharded batch execution (0 serves serially)",
     )
     daemon.add_argument(
         "--max-batch",
@@ -597,65 +585,45 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         )
     engine = _load_engine(args, QueryEngine)
     graph = engine.graph
-    service = SACService(
-        engine=engine,
-        workers=args.workers,
-        use_cache=not args.no_cache,
-    )
+    service = SACService(engine=engine, use_cache=not args.no_cache)
     queries = _batch_queries(args, graph)
     params = _algorithm_params(args)
 
-    mode = f"{args.workers} workers" if args.workers and args.workers >= 2 else "serial"
     cache_mode = "no cache" if args.no_cache else "answer cache on"
     role = "quality ceiling" if args.deadline_ms is not None else "algorithm"
-    print(f"algorithm      : {args.algorithm} ({role}; k={args.k}, {mode}, {cache_mode})")
+    print(f"algorithm      : {args.algorithm} ({role}; k={args.k}, {cache_mode})")
     if args.deadline_ms is not None:
         print(f"deadline       : {args.deadline_ms:g} ms per round (SLO ladder on)")
     print(f"queries        : {len(queries)} per round, {args.rounds} round(s)")
     answered = 0
-    try:
-        for round_index in range(args.rounds):
-            start = time.perf_counter()
-            batch = service.submit_batch(
-                queries,
-                args.k,
-                algorithm=args.algorithm,
-                deadline_ms=args.deadline_ms,
-                **params,
-            )
-            elapsed = time.perf_counter() - start
-            answered = batch.answered
-            rate = batch.answered / elapsed if elapsed > 0 else float("inf")
+    for round_index in range(args.rounds):
+        start = time.perf_counter()
+        batch = service.submit_batch(
+            queries,
+            args.k,
+            algorithm=args.algorithm,
+            deadline_ms=args.deadline_ms,
+            **params,
+        )
+        elapsed = time.perf_counter() - start
+        answered = batch.answered
+        rate = batch.answered / elapsed if elapsed > 0 else float("inf")
+        print(
+            f"  round {round_index + 1}: {batch.answered} answered, "
+            f"{len(batch.failed)} without community, {len(batch.errors)} errors, "
+            f"{batch.cache_hits} cache hits, {elapsed:.4f}s ({rate:.1f} q/s)"
+        )
+        if args.deadline_ms is not None:
+            rungs: dict = {}
+            for rung in batch.algorithm_used.values():
+                rungs[rung] = rungs.get(rung, 0) + 1
+            missed = sum(1 for late in batch.deadline_missed.values() if late)
             print(
-                f"  round {round_index + 1}: {batch.answered} answered, "
-                f"{len(batch.failed)} without community, {len(batch.errors)} errors, "
-                f"{batch.cache_hits} cache hits, {elapsed:.4f}s ({rate:.1f} q/s)"
+                f"    slo: rungs {rungs}, {missed} answers past the deadline"
             )
-            if args.deadline_ms is not None:
-                rungs: dict = {}
-                for rung in batch.algorithm_used.values():
-                    rungs[rung] = rungs.get(rung, 0) + 1
-                missed = sum(1 for late in batch.deadline_missed.values() if late)
-                print(
-                    f"    slo: rungs {rungs}, {missed} answers past the deadline"
-                )
-            for query, message in sorted(batch.errors.items()):
-                print(f"    error vertex {query}: {message}", file=sys.stderr)
-    finally:
-        service.close()
+        for query, message in sorted(batch.errors.items()):
+            print(f"    error vertex {query}: {message}", file=sys.stderr)
     stats = service.stats()
-    print(
-        f"executor       : {stats.executor.shards_executed} shards, "
-        f"{stats.executor.batches_parallel} parallel / "
-        f"{stats.executor.batches_serial} serial batches, "
-        f"{stats.executor.serial_fallbacks} fallbacks"
-    )
-    print(
-        f"dispatch       : {stats.executor.segments_created} segments created "
-        f"({stats.executor.bytes_shared} B shared once), "
-        f"{stats.executor.segments_reused} reuses, "
-        f"{stats.executor.bytes_dispatched} B task messages"
-    )
     if stats.cache is not None:
         print(
             f"cache          : {stats.cache.hits} hits, {stats.cache.misses} misses, "
@@ -746,11 +714,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     engine_cls = QueryEngine if args.static else IncrementalEngine
     engine = _load_engine(args, engine_cls)
-    service = SACService(
-        engine=engine,
-        workers=args.workers,
-        use_cache=not args.no_cache,
-    )
+    service = SACService(engine=engine, use_cache=not args.no_cache)
     if args.store is not None:
         service.store_path = str(args.store)
     try:
@@ -805,11 +769,10 @@ def _command_serve(args: argparse.Namespace) -> int:
         else:
             server = SACServer(service, config)
         await server.start()
-        mode = f"{args.workers} workers" if args.workers >= 2 else "serial execution"
         role = f", role {server.role}" if server.role != "single" else ""
         print(
             f"serving {engine.graph.num_vertices} vertices on {server.url} "
-            f"({mode}, micro-batch <= {config.max_batch_size} / "
+            f"(micro-batch <= {config.max_batch_size} / "
             f"{config.max_linger_ms:g} ms linger{role})",
             flush=True,
         )

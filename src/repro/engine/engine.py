@@ -354,7 +354,7 @@ class QueryEngine:
 
         ``component`` indexes the current labelling of
         :meth:`component_labels`.  This is the stable cache key the bundle,
-        answer-cache, and shared-memory-segment layers all share.
+        answer-cache, and snapshot layers all share.
         """
         _, count = self.component_labels(k)
         if not 0 <= int(component) < count:
@@ -423,8 +423,8 @@ class QueryEngine:
         ``stats.components_materialised``), exactly as a query landing in the
         component would.  ``component`` indexes the current labelling of
         :meth:`component_labels`.  This is the supported way for outer layers
-        (notably :class:`repro.service.ShardedExecutor`, which serialises the
-        bundle arrays into shard payloads) to reach the bundle cache.
+        (notably :func:`repro.engine.plan.execute_group`) to reach the bundle
+        cache.
         """
         labels, _ = self.component_labels(k)
         key = (k, int(self._reps[k][component]))

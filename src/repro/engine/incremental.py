@@ -93,7 +93,7 @@ class IncrementalEngine(QueryEngine):
         # user are now stale relative to the snapshot: mark them dirty so
         # the next touch rebuilds from the live graph instead of loading
         # the old coordinates, and bump their versions so cached answers
-        # and shard segments retire.  The ghost member arrays make this one
+        # retire.  The ghost member arrays make this one
         # binary search per known bundle — no materialisation.
         for key in self._artifacts.ghost_keys():
             members = self._artifacts.ghost_members(key)

@@ -18,8 +18,8 @@ This module makes that decision an explicit, inspectable object — a
    vertices (one answer is computed and fanned back out);
 2. **group** the distinct eligible queries by their k-ĉore component,
    stamping each group with the component's representative and artifact
-   version — the stable keys the cache, shared-memory, and snapshot layers
-   already share.
+   version — the stable keys the cache and snapshot layers already
+   share.
 
 A caller holding an answer cache then prunes each group's cache hits with
 :func:`resolve_cached` once it knows the algorithm the group runs at, so a
@@ -76,7 +76,7 @@ class PlanGroup:
         Component id in the engine's current labelling for the plan's ``k``.
     representative:
         The component's minimum member vertex — the stable key shared with
-        the bundle cache, the answer cache, and shared-memory segments.
+        the bundle cache, the answer cache, and the snapshot store.
     version:
         The component's artifact version at plan time
         (:meth:`repro.engine.QueryEngine.component_version`); group-level
@@ -113,7 +113,7 @@ class BatchPlan:
 
     Produced by :func:`plan_batch`; consumed by
     :meth:`repro.service.SACService.submit_batch` and the
-    :meth:`repro.service.ShardedExecutor.run_plan` it dispatches to.
+    :func:`repro.service.sharding.run_plan` it dispatches to.
     Everything a result assembler needs to restore per-occurrence semantics
     is here: the full submission ``order``, the per-query classification,
     and the answers already resolved at plan time.

@@ -21,11 +21,10 @@ a **ghost**: the bundle's sorted member array (a zero-copy store view for
 store-backed keys, the retained ``candidate_array`` otherwise).  Ghosts are
 what let :class:`repro.engine.IncrementalEngine` route mutations — a
 check-in or edge flip must bump the version counter of *every* affected
-bundle, resident or not, or caches and shard segments would serve stale
-answers.  With an unlimited budget the ghost set is exactly the set of keys
-the old eager path would have held resident, so version-counter sequences
-(and therefore replicated answers) are bit-identical to pre-residency
-builds.
+bundle, resident or not, or caches would serve stale answers.  With an
+unlimited budget the ghost set is exactly the set of keys the old eager
+path would have held resident, so version-counter sequences (and therefore
+replicated answers) are bit-identical to pre-residency builds.
 
 Byte accounting covers the bundle's arrays plus a fixed per-member estimate
 for the Python-object side (``candidate_list`` and the ``candidates``

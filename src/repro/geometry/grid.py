@@ -107,8 +107,8 @@ class GridIndex:
         copies — callers that persist or share them must treat them as
         read-only.  Together with the (shared) coordinate matrix the state
         reconstructs an identical index via :meth:`from_state`, which is how
-        :mod:`repro.store` snapshots per-bundle grids and how shard workers
-        skip rebuilding them.
+        :mod:`repro.store` snapshots per-bundle grids without rebuilding
+        them.
         """
         return {
             "min_x": self._min_x,

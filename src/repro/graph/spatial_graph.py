@@ -112,8 +112,7 @@ class SpatialGraph:
         vertex ``v``.  The per-vertex adjacency rows become views into one
         shared ``int32`` copy of ``indices`` (no per-row allocation) and the
         CSR view is installed eagerly, so hot loops skip the lazy rebuild.
-        This is how :mod:`repro.service.sharding` workers reconstruct a
-        component-local graph from a pickled shard payload.
+        This is how :mod:`repro.graph.io` loads a graph ``.npz`` file.
         """
         return cls.attach_arrays(
             {
@@ -133,8 +132,8 @@ class SpatialGraph:
         ``coords``) are exactly what :meth:`attach_arrays` consumes; they are
         the live internals where possible, so callers must treat them as
         read-only.  ``indices32``/``indices64`` carry the same CSR neighbour
-        stream in both dtypes so that a round trip through a file or a
-        shared-memory segment reattaches with **zero copies**: the ``int32``
+        stream in both dtypes so that a round trip through a file
+        reattaches with **zero copies**: the ``int32``
         stream backs the per-vertex adjacency rows, the ``int64`` stream
         backs the :attr:`csr` view.  Vertex labels are deliberately not
         included — they are not an array; :mod:`repro.store` persists them
@@ -169,9 +168,8 @@ class SpatialGraph:
         ``coords``) nothing is copied: adjacency rows become views into the
         ``indices32`` stream, the CSR view adopts ``indices64``, and the
         coordinate matrix is shared — which is what lets
-        :class:`repro.store.ArtifactStore` reopen a snapshot memory-mapped
-        and :mod:`repro.service.sharding` workers attach shared-memory
-        segments zero-copy.  Read-only (e.g. memory-mapped) arrays are
+        :class:`repro.store.ArtifactStore` reopen a snapshot memory-mapped.
+        Read-only (e.g. memory-mapped) arrays are
         accepted; the first :meth:`update_location` transparently thaws the
         coordinate matrix into a private writable copy, and edge splices
         always allocate fresh arrays.

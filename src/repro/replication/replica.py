@@ -211,12 +211,13 @@ class ReplicaServer(SACServer):
                     "replica cannot resync: the service was not opened from a "
                     "store and no service_factory was provided"
                 )
-            # Carry the residency budget across the resync: the fresh
-            # engine replays under the same memory bound the replica was
-            # started with.
+            # Carry the residency budget and the cache choice across the
+            # resync: the fresh service serves under the same settings the
+            # replica was started with.
             budget = self.service.engine.max_resident_bytes
+            use_cache = self.service.cache is not None
             factory = lambda: SACService.open(  # noqa: E731
-                store_path, max_resident_bytes=budget
+                store_path, max_resident_bytes=budget, use_cache=use_cache
             )
 
         def run() -> Tuple[int, int]:
@@ -231,7 +232,6 @@ class ReplicaServer(SACServer):
                     f"(log starts at {gap.available_lsn}); compact the writer "
                     "before truncating further"
                 )
-            stale = self.service
             self.service = fresh
             # Standing queries survive the swap: the registry re-resolves
             # every subscription against the fresh engine on the next
@@ -242,7 +242,6 @@ class ReplicaServer(SACServer):
                 self.config.wal_dir, start_lsn=snapshot_lsn + 1
             )
             self._replayed = snapshot_lsn
-            stale.close()
             return gap.needed_lsn, snapshot_lsn
 
         needed, landed = await self._run_mutation(run)

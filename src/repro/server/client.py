@@ -305,7 +305,7 @@ class SACClient:
             connection.close()
 
     def stats(self) -> dict:
-        """``GET /stats`` — endpoint, batcher, engine, executor, cache counters."""
+        """``GET /stats`` — endpoint, batcher, engine, cache and SLO counters."""
         return self._request("GET", "/stats")
 
     def healthz(self) -> dict:

@@ -9,8 +9,8 @@ network server.  Three ideas organise it:
   :meth:`~repro.service.SACService.submit_batch` call when it reaches
   ``max_batch_size`` or has lingered ``max_linger_ms`` milliseconds
   (whichever comes first).  The batch then flows through the existing
-  serving layer unchanged — engine artifact sharing, component sharding,
-  shared-memory dispatch, and the answer cache all serve network traffic
+  serving layer unchanged — engine artifact sharing, the component-grouped
+  batch plan, and the answer cache all serve network traffic
   exactly as they serve library callers, and every coalesced query saves
   the per-request dispatch overhead a one-query batch would pay.
 * **A single writer** — every piece of engine work (batch execution *and*
@@ -46,9 +46,8 @@ network server.  Three ideas organise it:
 * **Operability** — warm start from an :class:`repro.store.ArtifactStore`
   snapshot (``SACService.open``), snapshot-to-store on ``SIGUSR1`` and on
   shutdown, graceful drain (pending queries are flushed and answered, the
-  queue runs dry, the executor's pool and shared-memory segments are
-  released) on ``SIGTERM``/``SIGINT``, and per-endpoint latency/throughput
-  counters surfaced by ``GET /stats``.
+  queue runs dry) on ``SIGTERM``/``SIGINT``, and per-endpoint
+  latency/throughput counters surfaced by ``GET /stats``.
 
 The wire protocol is plain JSON over HTTP/1.1 (:mod:`repro.server.http`);
 ``repro-sac serve`` is the CLI front end and
@@ -72,7 +71,7 @@ from urllib.parse import parse_qs
 
 from repro.core.searcher import ALGORITHMS
 from repro.engine import IncrementalEngine
-from repro.exceptions import ReproError
+from repro.exceptions import InvalidParameterError, ReproError
 from repro.server.http import (
     LAST_CHUNK,
     ConnectionClosed,
@@ -109,6 +108,14 @@ BatchKey = Tuple[int, str, Tuple[Tuple[str, float], ...], str]
 Handler = Callable[[Request], Awaitable[Tuple[int, dict]]]
 
 
+def _is_finite(value: object) -> bool:
+    """Whether ``value`` is a finite int or float (``bool`` excluded)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            return math.isfinite(value)
+    return False
+
+
 def _finite_number(value: object, name: str) -> float:
     """``value`` as a finite float, or a 400 naming the request field.
 
@@ -116,10 +123,8 @@ def _finite_number(value: object, name: str) -> float:
     number would corrupt engine state or echo back into a response body
     that is not valid JSON, so every numeric request field passes here.
     """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        with contextlib.suppress(OverflowError):  # an int beyond float range
-            if math.isfinite(value):
-                return float(value)
+    if _is_finite(value):
+        return float(value)
     raise HttpError(400, f"{name!r} must be a finite number, got {value!r}")
 
 
@@ -167,7 +172,8 @@ class ServerConfig:
     max_queue_depth:
         Admission limit per lane: at most this many admitted-but-unanswered
         queries may be queued per lane before further requests are refused
-        with ``429`` + ``Retry-After``.
+        with ``429`` + ``Retry-After``.  One request needing more than this
+        many slots (a large ``/batch``) is refused with ``413``.
     retry_after_seconds:
         The ``Retry-After`` delay advertised on 429 responses.  HTTP's
         ``Retry-After`` header is integer-valued (RFC 9110 §10.2.3), so the
@@ -225,6 +231,37 @@ class ServerConfig:
     poll_timeout_ms: float = 30000.0
     subscription_backlog: int = 64
     subscription_idle_seconds: Optional[float] = 300.0
+
+    def __post_init__(self) -> None:
+        """Refuse settings that would turn all traffic away or crash a start.
+
+        Counts and byte limits must be integers of at least 1, the waits
+        finite and non-negative, and a default deadline finite and positive.
+        """
+        for name in (
+            "max_batch_size",
+            "max_batch_queries",
+            "max_queue_depth",
+            "max_body_bytes",
+            "subscription_backlog",
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise InvalidParameterError(
+                    f"{name} must be an integer of at least 1, got {value!r}"
+                )
+        for name in ("poll_timeout_ms", "retry_after_seconds", "drain_timeout_seconds"):
+            value = getattr(self, name)
+            if not (_is_finite(value) and value >= 0):
+                raise InvalidParameterError(
+                    f"{name} must be a finite number of at least 0, got {value!r}"
+                )
+        deadline = self.default_deadline_ms
+        if deadline is not None and not (_is_finite(deadline) and deadline > 0):
+            raise InvalidParameterError(
+                f"default_deadline_ms must be None or a finite number above 0, "
+                f"got {deadline!r}"
+            )
 
 
 @dataclass
@@ -643,8 +680,8 @@ class SACServer:
 
         Sequence: stop accepting connections, flush every pending
         micro-batch, let the writer queue run dry, wait (bounded) for open
-        requests to finish, snapshot if configured, release the executor's
-        pool and shared-memory segments, close remaining connections.
+        requests to finish, snapshot if configured, stop the engine thread,
+        close remaining connections.
         """
         if self._draining:
             await self._stopped.wait()
@@ -670,7 +707,6 @@ class SACServer:
             self._writer_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._writer_task
-        await self._loop.run_in_executor(self._engine_thread, self.service.close)
         self._engine_thread.shutdown(wait=True)
         if self._wal is not None:
             self._wal.close()
@@ -852,9 +888,17 @@ class SACServer:
 
         Lanes are independent — a saturated best-effort lane never blocks
         deadline traffic (and vice versa).  The refusal carries
-        ``Retry-After`` both as a header and in the JSON payload.  The
-        caller owns releasing the slots via :meth:`_release`.
+        ``Retry-After`` both as a header and in the JSON payload.  A request
+        needing more slots than the lane holds could never be admitted, so
+        it gets a ``413`` instead.  The caller owns releasing the slots via
+        :meth:`_release`.
         """
+        if count > self.config.max_queue_depth:
+            raise HttpError(
+                413,
+                f"request of {count} queries exceeds the {lane} lane's "
+                f"{self.config.max_queue_depth} query depth",
+            )
         depth = self._lane_pending[lane]
         if depth + count > self.config.max_queue_depth:
             stats = self.batcher_stats
@@ -1491,7 +1535,6 @@ class SACServer:
                 "idle_seconds": self.config.subscription_idle_seconds,
             },
             "residency": self.service.engine.residency_info(),
-            "executor": asdict(service_stats.executor),
             "cache": asdict(service_stats.cache) if service_stats.cache is not None else None,
             "slo": {
                 "enabled": self.config.slo_enabled,

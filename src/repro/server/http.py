@@ -150,18 +150,22 @@ async def read_request(reader: StreamReader, *, max_body_bytes: int) -> Request:
         name, sep, value = raw.partition(b":")
         if not sep:
             raise HttpError(400, f"malformed header line: {raw[:120]!r}")
-        headers[name.decode("latin-1").strip().lower()] = value.decode("latin-1").strip()
+        key = name.decode("latin-1").strip().lower()
+        text = value.decode("latin-1").strip(" \t")
+        # RFC 9112 §6.3: a second Content-Length that disagrees with the
+        # first makes the framing ambiguous (the request-smuggling setup).
+        if key == "content-length" and headers.get(key, text) != text:
+            raise HttpError(400, "conflicting Content-Length headers")
+        headers[key] = text
 
     if "transfer-encoding" in headers:
         raise HttpError(400, "chunked transfer encoding is not supported")
     body = b""
     length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise HttpError(400, f"invalid Content-Length {length_text!r}") from None
-    if length < 0:
-        raise HttpError(400, f"invalid Content-Length {length}")
+    # ASCII digits only: int() would also take "+21", "2_1" and spaces.
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise HttpError(400, f"invalid Content-Length {length_text!r}")
+    length = int(length_text)
     if length > max_body_bytes:
         raise HttpError(413, f"request body of {length} bytes exceeds the {max_body_bytes} byte limit")
     if length:

@@ -1,13 +1,13 @@
-"""The serving layer: sharded parallel batches plus a persistent answer cache.
+"""The serving layer: planned in-process batches plus a persistent answer cache.
 
 Serving heavy SAC traffic over one graph stacks three reuse levels:
 
 1. the **engine** (:mod:`repro.engine`) shares per-graph preprocessing
    across queries;
-2. the **sharded executor** (:class:`ShardedExecutor`) runs a batch's
-   k-ĉore-component shards on a process pool, publishing each component's
-   artifacts once into a shared-memory segment that workers attach
-   zero-copy (per-batch messages carry query ids only);
+2. the **batch plan** (:mod:`repro.engine.plan`, executed by
+   :func:`repro.service.sharding.run_plan`) groups a batch by k-ĉore
+   component, so each component's artifacts are fetched once and its
+   queries share one vectorised distance pass;
 3. the **answer cache** (:class:`AnswerCache`) shares finished answers
    across batches, invalidated per component by the engine's version
    counters so dynamic updates evict only what they touched.
@@ -39,11 +39,6 @@ results (enforced by ``tests/test_differential.py`` and
 from repro.service.cache import AnswerCache, CacheStats
 from repro.service.facade import SACService, ServiceStats
 from repro.service.results import BatchResult
-from repro.service.sharding import (
-    ExecutorStats,
-    ShardedExecutor,
-    ShardTask,
-)
 from repro.service.slo import (
     DEFAULT_CEILING,
     FULL_LADDER,
@@ -72,15 +67,12 @@ __all__ = [
     "CostModel",
     "CostModelStats",
     "DEFAULT_CEILING",
-    "ExecutorStats",
     "FULL_LADDER",
     "LADDER",
     "RungChoice",
     "RungCoefficients",
     "SACService",
     "ServiceStats",
-    "ShardTask",
-    "ShardedExecutor",
     "SloStats",
     "Subscription",
     "SubscriptionRegistry",

@@ -2,16 +2,16 @@
 
 Everything the serving layer offers behind a single object: a shared
 :class:`~repro.engine.QueryEngine` (or
-:class:`~repro.engine.IncrementalEngine` for dynamic graphs), a
-:class:`~repro.service.sharding.ShardedExecutor` for parallel batch
-execution, and an :class:`~repro.service.cache.AnswerCache` that persists
-answers across batches.  :meth:`SACService.submit_batch` is the library's
+:class:`~repro.engine.IncrementalEngine` for dynamic graphs), the planned
+in-process batch executor (:func:`repro.service.sharding.run_plan`), and
+an :class:`~repro.service.cache.AnswerCache` that persists answers across
+batches.  :meth:`SACService.submit_batch` is the library's
 one batch entry point: :class:`repro.dynamic.SACTracker`, the standing-query
 registry, the daemon, and the CLI ``batch`` / ``serve-batch`` subcommands
 all answer through it.
 
-The layering keeps one invariant: every path — single query, serial batch,
-sharded batch, cache hit — returns bit-identical
+The layering keeps one invariant: every path — single query, planned
+batch, cache hit — returns bit-identical
 :class:`~repro.core.result.SACResult`\\ s for the same graph state.  The
 cache can only make that claim because invalidation is driven by the
 engine's component-version counters (see :mod:`repro.service.cache`), which
@@ -41,7 +41,7 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.spatial_graph import SpatialGraph
 from repro.service.cache import AnswerCache, CacheStats
 from repro.service.results import BatchResult
-from repro.service.sharding import ExecutorStats, ShardedExecutor
+from repro.service.sharding import run_plan
 from repro.service.slo import (
     CostModel,
     SloStats,
@@ -56,7 +56,6 @@ class ServiceStats:
     """Aggregated view over the service's moving parts."""
 
     engine: EngineStats
-    executor: ExecutorStats
     cache: Optional[CacheStats]
     slo: Optional[SloStats] = None
 
@@ -74,9 +73,6 @@ class SACService:
         :class:`~repro.engine.IncrementalEngine` to combine serving with
         in-place graph mutation (check-ins, edge updates); the answer cache
         follows the mutations through the engine's component versions.
-    workers:
-        Process-pool size for sharded batch execution; ``None`` serves every
-        batch serially (still engine-cached, still answer-cached).
     use_cache:
         Whether to keep an :class:`~repro.service.cache.AnswerCache` (at its
         default LRU capacity).
@@ -89,7 +85,7 @@ class SACService:
 
     Examples
     --------
-    >>> service = SACService(graph, workers=4)              # doctest: +SKIP
+    >>> service = SACService(graph)                         # doctest: +SKIP
     >>> batch = service.submit_batch(queries, k=4)          # doctest: +SKIP
     >>> batch2 = service.submit_batch(queries, k=4)         # doctest: +SKIP
     >>> batch2.cache_hits == batch.answered                 # doctest: +SKIP
@@ -101,7 +97,6 @@ class SACService:
         graph: Optional[SpatialGraph] = None,
         *,
         engine: Optional[QueryEngine] = None,
-        workers: Optional[int] = None,
         use_cache: bool = True,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
@@ -113,7 +108,6 @@ class SACService:
         #: :meth:`open`, ``None`` otherwise) — the replication tier resyncs
         #: a lagging replica by reopening it.
         self.store_path: Optional[str] = None
-        self.executor = ShardedExecutor(self.engine, workers=workers)
         self.cache: Optional[AnswerCache] = AnswerCache() if use_cache else None
         #: The deadline ladder's calibrated cost model; fitted lazily on the
         #: first deadline-carrying request per ``k`` (or eagerly via
@@ -155,7 +149,6 @@ class SACService:
         cls,
         path,
         *,
-        workers: Optional[int] = None,
         use_cache: bool = True,
         clock: Optional[Callable[[], float]] = None,
         max_resident_bytes: Optional[int] = None,
@@ -175,7 +168,6 @@ class SACService:
             engine=IncrementalEngine.from_store(
                 path, max_resident_bytes=max_resident_bytes
             ),
-            workers=workers,
             use_cache=use_cache,
             clock=clock,
         )
@@ -250,9 +242,9 @@ class SACService:
         ``cache_hits`` counts the occurrences that never reached execution.
 
         Without ``deadline_ms`` every group runs at ``algorithm`` (a one-rung
-        ladder), and the groups left with misses go to the
-        :class:`~repro.service.sharding.ShardedExecutor` in one call, so the
-        process pool keeps whole-batch dispatch.
+        ladder): every group is looked up first, the groups left with misses
+        execute in one :func:`~repro.service.sharding.run_plan` call, and
+        their answers are stored.
 
         With ``deadline_ms`` set, the batch runs in **SLO mode**:
         ``algorithm`` becomes the quality *ceiling* and each plan group is
@@ -278,7 +270,7 @@ class SACService:
             for group in plan.groups:
                 self._lookup_group(plan, group)
             plan.groups = [group for group in plan.groups if group.queries]
-            batch = self.executor.run_plan(plan)
+            batch = run_plan(self.engine, plan)
             for group in plan.groups:
                 self._store_group(plan, group, batch.results)
         else:
@@ -328,10 +320,8 @@ class SACService:
         budget is re-measured and :func:`select_rung` picks the best rung
         whose predicted cost fits it, probing the answer cache per candidate
         rung (a rung whose answers are all cached is free).  Groups execute
-        one at a time on the engine — each rung depends on the budget the
-        previous groups left, and deadline work wants the predictable
-        single-thread latency the cost model was calibrated on, not pool
-        dispatch jitter.  Observed group latencies feed back into the model,
+        one at a time on the engine, because each rung depends on the budget
+        the previous groups left.  Observed group latencies feed back into the model,
         and any answer completed after the deadline is flagged in
         ``deadline_missed`` — late answers are delivered, never dropped, so
         a mispredicting (even adversarially lying) model degrades to honest
@@ -464,16 +454,11 @@ class SACService:
         """
         self._incremental_engine().apply_record(record)
 
-    def close(self) -> None:
-        """Release the executor's process pool (recreated on next use)."""
-        self.executor.close()
-
     # ------------------------------------------------------------------ stats
     def stats(self) -> ServiceStats:
-        """Snapshot of engine, executor, and cache counters."""
+        """Snapshot of engine, cache, and SLO counters."""
         return ServiceStats(
             engine=self.engine.stats,
-            executor=self.executor.stats,
             cache=self.cache.stats if self.cache is not None else None,
             slo=self.slo_stats,
         )

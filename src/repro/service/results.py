@@ -1,7 +1,7 @@
 """Batch outcome type of the serving layer.
 
 :class:`BatchResult` is produced by :meth:`repro.service.SACService.submit_batch`
-and the :class:`repro.service.ShardedExecutor` it dispatches to, and is
+and the :func:`repro.service.sharding.run_plan` it dispatches to, and is
 re-exported as :class:`repro.BatchResult`.
 """
 

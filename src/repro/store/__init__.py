@@ -13,10 +13,6 @@ artifacts from the computing process:
   :meth:`repro.engine.IncrementalEngine.from_store` warm-start from one with
   bit-identical answers to a cold build (engines copy-on-first-mutate, so
   dynamic updates still work and the snapshot is never written through);
-* :class:`SharedArrayPack` — the zero-copy shard transport:
-  :class:`repro.service.ShardedExecutor` materialises each component's
-  arrays once into a ``multiprocessing.shared_memory`` segment and workers
-  attach views, so per-batch messages carry query ids instead of megabytes;
 * :mod:`repro.store.manifest` — the shared versioned manifest schema, also
   embedded in the graph ``.npz`` cache format of :mod:`repro.graph.io`;
 * :class:`WriteAheadLog` / :class:`WalCursor` — the append-only mutation
@@ -27,12 +23,10 @@ artifacts from the computing process:
 
 from repro.store.artifact_store import ArtifactStore
 from repro.store.manifest import STORE_FORMAT, STORE_VERSION
-from repro.store.sharedmem import SharedArrayPack
 from repro.store.wal import WalCursor, WalError, WalGapError, WriteAheadLog
 
 __all__ = [
     "ArtifactStore",
-    "SharedArrayPack",
     "STORE_FORMAT",
     "STORE_VERSION",
     "WalCursor",

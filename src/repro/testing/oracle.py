@@ -1,8 +1,8 @@
 """The reference oracle every execution path is tested against.
 
 The serving stack answers SAC queries through engine caches, factorised
-plan groups, shared-memory worker shards, and an answer cache; each layer
-claims answers **bit-identical** to the paper's algorithm run directly.
+plan groups, and an answer cache; each layer claims answers
+**bit-identical** to the paper's algorithm run directly.
 This module is that direct run: :func:`oracle_search` calls
 ``ALGORITHMS[algorithm](graph, query, k, **params)`` with no context, so
 the algorithm builds a fresh :class:`~repro.core.base.QueryContext` and

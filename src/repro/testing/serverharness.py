@@ -235,8 +235,9 @@ def assert_payload_identical(payload, expected, context=()) -> None:
 def shm_segments() -> Set[str]:
     """Names of the POSIX shared-memory segments currently in ``/dev/shm``.
 
-    The sharded executor publishes per-component artifacts as ``psm_*``
-    segments; a clean drain must unlink every one it created.  On
+    Python's standard library names its POSIX shared-memory segments
+    ``psm_*``; the serving stack creates none, and a clean drain must leave
+    none behind.  On
     platforms without ``/dev/shm`` this returns the empty set and the
     leak assertion degrades to a no-op.
     """

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.graph.io import load_graph_npz
+from repro.server import SACServer
 
 
 @pytest.fixture
@@ -115,14 +116,13 @@ class TestServeBatch:
     def test_defaults(self):
         parser = build_parser()
         args = parser.parse_args(["serve-batch", "g.npz"])
-        assert args.workers == 4
         assert args.rounds == 2
         assert not args.no_cache
 
     def test_rounds_hit_the_cache(self, graph_file, capsys):
         exit_code = main(
             ["serve-batch", str(graph_file), "--count", "8", "--k", "3",
-             "--workers", "2", "--rounds", "2"]
+             "--rounds", "2"]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
@@ -131,14 +131,14 @@ class TestServeBatch:
         assert "8 cache hits" in output.splitlines()[3]  # warm second round
         assert "cache          :" in output
 
-    def test_serial_and_no_cache_modes(self, graph_file, capsys):
+    def test_no_cache_mode(self, graph_file, capsys):
         exit_code = main(
             ["serve-batch", str(graph_file), "--count", "4", "--k", "3",
-             "--workers", "0", "--no-cache", "--rounds", "1"]
+             "--no-cache", "--rounds", "1"]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "serial, no cache" in output
+        assert "k=3, no cache" in output
         assert "cache          :" not in output
 
     def test_invalid_rounds_rejected(self, graph_file, capsys):
@@ -181,7 +181,7 @@ class TestSnapshotAndStore:
     def test_serve_batch_from_store(self, store_dir, capsys):
         exit_code = main(
             ["serve-batch", "--store", str(store_dir), "--count", "6", "--k", "3",
-             "--workers", "0", "--rounds", "1"]
+             "--rounds", "1"]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
@@ -260,6 +260,27 @@ class TestTrack:
                   "--generate-users", "50", "--checkins-per-user", "3"]) == 0
         )
         assert f"user {label:>8}" in capsys.readouterr().out
+
+
+class TestServe:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--max-queue-depth", "0"],
+            ["--default-deadline-ms", "-5"],
+            ["--subscription-backlog", "0"],
+        ],
+        ids=["queue-depth", "default-deadline", "subscription-backlog"],
+    )
+    def test_unusable_setting_is_an_error_before_serving(
+        self, graph_file, capsys, monkeypatch, flags
+    ):
+        async def refuse_to_serve(server):
+            raise AssertionError("serve started with an unusable setting")
+
+        monkeypatch.setattr(SACServer, "serve_forever", refuse_to_serve)
+        assert main(["serve", str(graph_file), "--port", "0", *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestStats:

@@ -8,11 +8,12 @@ hypothesis through the shared :mod:`repro.testing.strategies` generators:
   a lower bound for every algorithm, ``AppInc``/``AppFast(εF)``/``AppAcc(εA)``
   stay within their ``2`` / ``2 + εF`` / ``1 + εA`` factors, and ``Exact+``
   matches ``Exact`` to its ``1 + εA`` tolerance.
-* **Execution-path parity** — sharded process-pool execution and the
-  answer-cached service must return results *bit-identical* to the
-  reference oracle (:mod:`repro.testing.oracle`: same member sets, same
-  circle floats, same stats), including after incremental location and
-  edge updates interleave with cached queries.
+* **Execution-path parity** — planned execution
+  (:func:`repro.service.sharding.run_plan`) and the answer-cached service
+  must return results *bit-identical* to the reference oracle
+  (:mod:`repro.testing.oracle`: same member sets, same circle floats, same
+  stats), including after incremental location and edge updates
+  interleave with cached queries.
 """
 
 import numpy as np
@@ -23,7 +24,9 @@ from hypothesis import strategies as st
 from repro.core.searcher import ALGORITHMS
 from repro.engine import IncrementalEngine, QueryEngine
 from repro.exceptions import NoCommunityError
-from repro.service import SACService, ShardedExecutor
+from repro.engine.plan import plan_batch
+from repro.service import SACService
+from repro.service.sharding import run_plan
 from repro.testing.oracle import assert_results_identical as _assert_identical
 from repro.testing.oracle import oracle_batch, oracle_search
 from repro.testing.strategies import random_spatial_graph
@@ -127,14 +130,15 @@ class TestExecutionPathParity:
 
         serial = oracle_batch(graph, queries, k, algorithm="appfast", epsilon_f=0.5)
 
-        executor = ShardedExecutor(QueryEngine(graph), workers=2)
-        sharded = executor.run(queries, k, algorithm="appfast", epsilon_f=0.5)
-        executor.close()
+        engine = QueryEngine(graph)
+        sharded = run_plan(
+            engine,
+            plan_batch(engine, queries, k, algorithm="appfast", params={"epsilon_f": 0.5}),
+        )
 
-        service = SACService(graph, workers=2)
+        service = SACService(graph)
         cached_cold = service.submit_batch(queries, k, algorithm="appfast", epsilon_f=0.5)
         cached_warm = service.submit_batch(queries, k, algorithm="appfast", epsilon_f=0.5)
-        service.close()
         answered = [q for q in queries if serial[q] is not None]
         assert cached_warm.cache_hits == len(answered)
 

@@ -100,7 +100,7 @@ class TestApiReference:
         for module in ("repro.store", "repro.engine", "repro.service", "repro.server"):
             assert f"## `{module}`" in page, f"docs/api.md misses {module}"
         for name in ("QueryEngine", "IncrementalEngine", "SACService", "SACServer",
-                     "SACClient", "ArtifactStore", "AnswerCache", "ShardedExecutor"):
+                     "SACClient", "ArtifactStore", "AnswerCache", "BatchResult"):
             assert f"`{name}`" in page, f"docs/api.md misses {name}"
 
 

@@ -10,9 +10,9 @@ Two halves, mirroring the two promises of :mod:`repro.engine.plan`:
 * **Execution parity** — hypothesis properties asserting the factorised
   pipeline returns answers *bit-identical* (member sets, circle floats,
   stats) to the reference oracle (:mod:`repro.testing.oracle`), across the
-  serial engine, the sharded executor, and the answer-cached service,
-  including while incremental check-ins and edge flips interleave with
-  planned batches.
+  engine, :func:`repro.service.sharding.run_plan`, and the answer-cached
+  service, including while incremental check-ins and edge flips interleave
+  with planned batches.
 """
 
 from collections import Counter
@@ -25,7 +25,8 @@ from repro.engine import IncrementalEngine, QueryEngine
 from repro.engine.plan import execute_group, plan_batch
 from repro.exceptions import VertexNotFoundError
 from repro.graph.builder import GraphBuilder
-from repro.service import SACService, ShardedExecutor
+from repro.service import SACService
+from repro.service.sharding import run_plan
 from repro.testing.oracle import assert_results_identical as _assert_identical
 from repro.testing.oracle import oracle_batch
 from repro.testing.strategies import random_spatial_graph
@@ -125,8 +126,7 @@ class TestPlanShape:
         assert sorted(mixed.results) == sorted(distinct)
         for query in left:
             _assert_identical(cold.results[query], mixed.results[query], query)
-        stats = service.stats().executor
-        assert stats.queries_serial == len(distinct)
+        assert service.engine.stats.queries_factorised == len(distinct)
 
     def test_all_cached_batch_short_circuits(self):
         graph, labels = _two_component_graph()
@@ -140,9 +140,8 @@ class TestPlanShape:
         assert warm.plan_groups == 0
         for query in cold.results:
             _assert_identical(cold.results[query], warm.results[query], query)
-        # The warm round executed nothing: serial/parallel counters unchanged.
-        stats = service.stats().executor
-        assert stats.queries_serial + stats.queries_parallel == len(cold.results)
+        # The warm round executed nothing: the execution counter is unchanged.
+        assert service.engine.stats.queries_factorised == len(cold.results)
 
     def test_empty_batch(self):
         graph, _labels = _two_component_graph()
@@ -176,8 +175,8 @@ class TestPlanShape:
         assert plan.planned == 1  # `inside` once; duplicates don't execute
         assert plan.deduped == 1
 
-    def test_pool_honours_group_overrides(self):
-        """A rung-overridden group runs at its own algorithm on the pool too."""
+    def test_run_plan_honours_group_overrides(self):
+        """A rung-overridden group runs at its own algorithm in ``run_plan``."""
         graph, labels = _two_component_graph()
         queries = _queries_per_component(labels, int(labels.max()) + 1)
         engine = QueryEngine(graph)
@@ -189,13 +188,8 @@ class TestPlanShape:
         for group in plan.groups:
             expected.update(execute_group(engine, plan, group))
 
-        executor = ShardedExecutor(QueryEngine(graph), workers=2)
-        try:
-            batch = executor.run_plan(plan)
-        finally:
-            executor.close()
+        batch = run_plan(QueryEngine(graph), plan)
 
-        assert executor.stats.batches_parallel == 1
         assert set(batch.results) == set(expected)
         for query, result in expected.items():
             _assert_identical(result, batch.results[query], query)
@@ -253,21 +247,14 @@ class TestFactorisedParity:
         queries = queries + queries[: len(queries) // 2]
 
         serial = oracle_batch(graph, queries, k, algorithm="appfast", epsilon_f=0.5)
-        sharded = SACService(graph, workers=2, use_cache=False)
+        engine = QueryEngine(graph)
+        sharded_batch = run_plan(
+            engine,
+            plan_batch(engine, queries, k, algorithm="appfast", params={"epsilon_f": 0.5}),
+        )
         cached = SACService(graph)
-        try:
-            sharded_batch = sharded.submit_batch(
-                queries, k, algorithm="appfast", epsilon_f=0.5
-            )
-            cached_cold = cached.submit_batch(
-                queries, k, algorithm="appfast", epsilon_f=0.5
-            )
-            cached_warm = cached.submit_batch(
-                queries, k, algorithm="appfast", epsilon_f=0.5
-            )
-        finally:
-            sharded.close()
-            cached.close()
+        cached_cold = cached.submit_batch(queries, k, algorithm="appfast", epsilon_f=0.5)
+        cached_warm = cached.submit_batch(queries, k, algorithm="appfast", epsilon_f=0.5)
 
         for query in serial:
             context = (seed, k, query)

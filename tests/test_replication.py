@@ -56,7 +56,6 @@ def snapshot(base_graph, tmp_path_factory):
     path = tmp_path_factory.mktemp("tier") / "store"
     service = SACService(engine=IncrementalEngine(base_graph.mutable_copy()))
     service.save(str(path))
-    service.close()
     return str(path)
 
 
@@ -189,7 +188,6 @@ class TestReplicaReplay:
         # Seed the compacted snapshot from the shared base one.
         service = SACService.open(snapshot)
         service.save(str(store))
-        service.close()
         writer = start_in_thread(
             SACService.open(str(store)),
             ServerConfig(
@@ -232,6 +230,44 @@ class TestReplicaReplay:
                             _expected(cold, label),
                             label,
                         )
+            finally:
+                replica.stop()
+        finally:
+            writer.stop()
+
+    def test_resync_keeps_a_cacheless_replica_cacheless(
+        self, snapshot, eligible, tmp_path
+    ):
+        """The reopened service inherits ``use_cache=False`` across a resync."""
+        wal_dir = tmp_path / "wal"
+        store = tmp_path / "compacted-store"
+        SACService.open(snapshot).save(str(store))
+        writer = start_in_thread(
+            SACService.open(str(store)),
+            ServerConfig(
+                port=0, max_linger_ms=2.0, wal_dir=str(wal_dir),
+                snapshot_path=str(store),
+            ),
+        )
+        try:
+            mutations = _mutations(eligible)[:3]
+            with SACClient("127.0.0.1", writer.port) as client:
+                for index, mutation in enumerate(mutations):
+                    if index == 2:
+                        client.compact()
+                    client.checkin(mutation["user"], mutation["x"], mutation["y"])
+            replica = start_in_thread(
+                SACService.open(str(store), use_cache=False),
+                ServerConfig(port=0, max_linger_ms=2.0, wal_dir=str(wal_dir)),
+                server_factory=lambda service, config: ReplicaServer(
+                    service, config, poll_interval_ms=10.0
+                ),
+            )
+            try:
+                _wait_applied(replica, len(mutations))
+                assert replica.server.replica_stats.resyncs == 1
+                with SACClient("127.0.0.1", replica.port) as replica_client:
+                    assert replica_client.stats()["cache"] is None
             finally:
                 replica.stop()
         finally:
@@ -324,7 +360,6 @@ class TestCoordinator:
         store = tmp_path / "store-copy"
         service = SACService.open(snapshot)
         service.save(str(store))
-        service.close()
         with _Tier(str(store), tmp_path / "wal", replicas=0) as tier:
             with tier.client() as client:
                 for mutation in _mutations(eligible):

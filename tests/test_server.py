@@ -28,6 +28,7 @@ import pytest
 
 from repro.datasets.geosocial import brightkite_like
 from repro.engine import IncrementalEngine, QueryEngine
+from repro.exceptions import InvalidParameterError
 from repro.server import SACClient, ServerConfig, ServerError, start_in_thread
 from repro.server.client import parallel_queries
 from repro.service import FULL_LADDER, SACService
@@ -38,6 +39,26 @@ from repro.testing.serverharness import (
     expected_payload as _expected,
     serve as _serve,
 )
+
+
+def _hold_lane_slot(handle, label, **kwargs):
+    """Park one lingering query in its admission lane; returns its thread.
+
+    The server must run with a long ``max_linger_ms`` so the query stays
+    queued; it is answered when the linger expires or the server drains.
+    """
+    lane = "deadline" if "deadline_ms" in kwargs else "besteffort"
+
+    def ask():
+        with SACClient(handle.host, handle.port) as mine:
+            mine.query(label, K, **kwargs)
+
+    thread = threading.Thread(target=ask)
+    thread.start()
+    with SACClient(handle.host, handle.port) as probe:
+        while probe.stats()["slo"]["lanes"][lane]["pending"] < 1:
+            time.sleep(0.01)
+    return thread
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +239,21 @@ class TestBatchEndpoint:
             client.batch([], K)
         assert excinfo.value.status == 400
 
+    def test_batch_larger_than_its_lane_is_a_413_not_a_429(self, base_graph, reference):
+        """A 429 would promise a retry that can never be admitted."""
+        labels = _eligible_labels(reference, 5)
+        handle = _serve(base_graph, max_queue_depth=4)
+        try:
+            with SACClient(handle.host, handle.port) as client:
+                for kwargs in ({}, {"deadline_ms": 10_000.0}):  # both lanes
+                    with pytest.raises(ServerError) as excinfo:
+                        client.batch(labels, K, **kwargs)
+                    assert excinfo.value.status == 413
+                    assert excinfo.value.retry_after is None
+                assert client.batch(labels[:4], K)["answered"] == 4
+        finally:
+            handle.stop()
+
 
 class TestProtocolRobustness:
     def _raw(self, server, payload: bytes) -> bytes:
@@ -252,6 +288,31 @@ class TestProtocolRobustness:
     def test_garbage_request_line_is_a_400(self, server):
         raw = self._raw(server, b"EHLO example.com\r\n\r\n")
         assert raw.startswith(b"HTTP/1.1 400")
+
+    @pytest.mark.parametrize(
+        "length_headers",
+        [
+            [b"+21"],
+            [b"2_1"],
+            [b"\x0b21"],  # int() and str.strip() skip non-OWS whitespace
+            [b"0", b"21"],  # a second header must not replace the first
+        ],
+        ids=["plus-sign", "underscore", "vertical-tab", "conflicting-repeat"],
+    )
+    def test_malformed_content_length_is_a_400_and_closes(self, server, length_headers):
+        """RFC 9112 §6.3: invalid framing is answered 400, then the socket closes."""
+        body = b"x" * 21
+        headers = b"".join(b"Content-Length: %s\r\n" % value for value in length_headers)
+        raw = self._raw(server, b"GET /healthz HTTP/1.1\r\n%s\r\n%s" % (headers, body))
+        assert raw.startswith(b"HTTP/1.1 400")
+        assert b"Content-Length" in raw.split(b"\r\n\r\n", 1)[1]
+        assert b"Connection: close" in raw
+
+    def test_content_length_with_ows_or_agreeing_repeats_is_accepted(self, server):
+        body = b"x" * 21
+        for headers in (b"Content-Length: \t21 \r\n", b"Content-Length: 21\r\n" * 2):
+            raw = self._raw(server, b"GET /healthz HTTP/1.1\r\n%s\r\n%s" % (headers, body))
+            assert raw.startswith(b"HTTP/1.1 200"), raw[:200]
 
     def test_oversized_body_is_a_413(self, base_graph):
         handle = _serve(base_graph, max_body_bytes=64)
@@ -566,10 +627,14 @@ class TestSloServing:
 
     def test_lane_full_429_carries_retry_after(self, base_graph, reference):
         label = _eligible_labels(reference, 1)[0]
-        handle = _serve(base_graph, max_queue_depth=0, retry_after_seconds=3.0)
+        handle = _serve(
+            base_graph, max_queue_depth=1, max_linger_ms=10_000.0, retry_after_seconds=3.0
+        )
+        held = []
         try:
             with SACClient(handle.host, handle.port) as client:
                 for kwargs in ({}, {"deadline_ms": 100.0}):  # both lanes
+                    held.append(_hold_lane_slot(handle, label, **kwargs))
                     with pytest.raises(ServerError) as excinfo:
                         client.query(label, K, **kwargs)
                     assert excinfo.value.status == 429
@@ -579,6 +644,8 @@ class TestSloServing:
             assert stats["slo"]["lanes"]["deadline"]["rejected"] == 1
         finally:
             handle.stop()
+            for thread in held:
+                thread.join(timeout=10)
 
     def test_saturated_besteffort_lane_does_not_block_deadline_lane(
         self, base_graph, reference
@@ -758,8 +825,12 @@ class TestRetryAfterAgreement:
 
         label = _eligible_labels(reference, 1)[0]
         handle = _serve(
-            base_graph, max_queue_depth=0, retry_after_seconds=retry_after_seconds
+            base_graph,
+            max_queue_depth=1,
+            max_linger_ms=10_000.0,
+            retry_after_seconds=retry_after_seconds,
         )
+        held = _hold_lane_slot(handle, label)
         try:
             connection = http_client.HTTPConnection(
                 handle.host, handle.port, timeout=30.0
@@ -777,6 +848,7 @@ class TestRetryAfterAgreement:
             connection.close()
         finally:
             handle.stop()
+            held.join(timeout=10)
         return status, header, payload
 
     def test_subsecond_config_header_and_payload_agree(self, base_graph, reference):
@@ -854,3 +926,45 @@ class TestNonFiniteNumbers:
                     assert self._status(lambda: client._request("GET", path)) == 400
             finally:
                 client.unsubscribe(sub["id"])
+
+
+class TestServerConfigValidation:
+    """Settings that would refuse every request, or crash a start, are refused."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_batch_size", 0),
+            ("max_batch_queries", 0),
+            ("max_queue_depth", 0),
+            ("max_queue_depth", 2.5),
+            ("max_queue_depth", True),
+            ("max_body_bytes", -1),
+            ("subscription_backlog", 0),
+            ("default_deadline_ms", -5.0),
+            ("default_deadline_ms", 0),
+            ("default_deadline_ms", math.nan),
+            ("poll_timeout_ms", -1.0),
+            ("poll_timeout_ms", math.inf),
+            ("retry_after_seconds", -0.5),
+            ("drain_timeout_seconds", math.nan),
+        ],
+    )
+    def test_unusable_value_is_refused(self, field, value):
+        with pytest.raises(InvalidParameterError, match=field):
+            ServerConfig(port=0, **{field: value})
+
+    def test_smallest_usable_values_are_accepted(self):
+        config = ServerConfig(
+            port=0,
+            max_batch_size=1,
+            max_batch_queries=1,
+            max_queue_depth=1,
+            max_body_bytes=1,
+            subscription_backlog=1,
+            default_deadline_ms=0.5,
+            poll_timeout_ms=0,
+            retry_after_seconds=0.0,
+            drain_timeout_seconds=0.0,
+        )
+        assert config.max_queue_depth == 1

@@ -1,8 +1,8 @@
-"""Tests for the serving layer: sharded execution, answer cache, facade.
+"""Tests for the serving layer: planned execution, answer cache, facade.
 
-Covers the parallel/serial parity of :class:`repro.service.ShardedExecutor`
-(including the graceful serial fallback when the pool breaks mid-shard), the
-version-guarded invalidation of :class:`repro.service.AnswerCache`, the
+Covers :func:`repro.service.sharding.run_plan` (per-query errors, ``k = 1``
+batches, bit-identity for every algorithm), the version-guarded
+invalidation of :class:`repro.service.AnswerCache`, the
 :class:`repro.service.SACService` facade, and the negative paths the batch
 surfaces historically lacked tests for: empty batches, all-failed batches,
 per-query errors, and cache eviction after incremental-engine mutations.
@@ -17,8 +17,8 @@ from repro.engine import IncrementalEngine, QueryEngine
 from repro.exceptions import InvalidParameterError, NoCommunityError
 from repro.experiments.queries import select_query_vertices
 from repro.engine.plan import plan_batch
-from repro.service import AnswerCache, SACService, ShardedExecutor
-from repro.store import SharedArrayPack
+from repro.service import AnswerCache, SACService
+from repro.service.sharding import run_plan
 from repro.testing.strategies import random_spatial_graph
 
 
@@ -42,148 +42,27 @@ def _assert_identical(first, second):
     assert first.k == second.k
 
 
-class _ExplodingPool:
-    """A stand-in pool whose workers 'crash' mid-shard."""
-
-    calls = 0
-
-    def __init__(self, workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, payloads):
-        type(self).calls += 1
-        raise RuntimeError("worker killed mid-shard")
-
-
-class TestShardedExecutor:
-    def test_parallel_matches_serial_bitwise(self, graph, queries):
-        serial_engine = QueryEngine(graph)
-        reference = {
-            q: serial_engine.search(q, 4, algorithm="appfast", epsilon_f=0.5)
-            for q in queries
-        }
-        executor = ShardedExecutor(QueryEngine(graph), workers=2)
-        batch = executor.run(queries, 4, algorithm="appfast", epsilon_f=0.5)
-        assert executor.stats.batches_parallel == 1
-        assert executor.stats.serial_fallbacks == 0
-        assert set(batch.results) == set(reference)
-        for q in reference:
-            _assert_identical(reference[q], batch.results[q])
-
-    def test_shards_group_by_component_and_split_for_workers(self, graph, queries):
-        executor = ShardedExecutor(QueryEngine(graph), workers=2)
-        labels, _ = executor.engine.component_labels(4)
-        components = {int(labels[q]) for q in queries}
-        executor.run(queries, 4, algorithm="appfast", epsilon_f=0.5)
-        # Every component becomes at least one payload; when components are
-        # fewer than workers, large ones are chunked so the pool fills up.
-        expected = len(components) if len(components) >= 2 else 2
-        assert executor.stats.shards_executed == expected
-
-    def test_single_component_batch_splits_across_workers(self, graph, queries):
-        executor = ShardedExecutor(QueryEngine(graph), workers=4)
-        labels, _ = executor.engine.component_labels(4)
-        component = int(labels[queries[0]])
-        same_component = [q for q in queries if int(labels[q]) == component]
-        plan = plan_batch(executor.engine, same_component, 4)
-        chunks = executor._shard_chunks(plan.groups)
-        assert len(chunks) == min(4, len(same_component))
-        assert sorted(q for _group, chunk in chunks for q in chunk) == sorted(
-            same_component
-        )
-        for group, _chunk in chunks:
-            assert group is plan.groups[0]  # every chunk reads one segment
-
-    def test_deterministic_worker_error_propagates_not_falls_back(self, graph, queries):
-        executor = ShardedExecutor(QueryEngine(graph), workers=2)
+class TestRunPlan:
+    def test_deterministic_error_propagates(self, graph, queries):
+        service = SACService(graph, use_cache=False)
         with pytest.raises(InvalidParameterError):
-            executor.run(queries, 4, algorithm="appfast", epsilon_f=-1.0)
-        assert executor.stats.serial_fallbacks == 0
+            service.submit_batch(queries, 4, algorithm="appfast", epsilon_f=-1.0)
 
-    def test_pool_persists_across_batches(self, graph, queries):
-        executor = ShardedExecutor(QueryEngine(graph), workers=2)
-        executor.run(queries, 4, algorithm="appfast", epsilon_f=0.5)
-        pool = executor._pool
-        assert pool is not None
-        executor.run(queries, 4, algorithm="appfast", epsilon_f=0.5)
-        assert executor._pool is pool
-        executor.close()
-        assert executor._pool is None
-
-    def test_worker_crash_falls_back_to_serial(self, graph, queries):
-        _ExplodingPool.calls = 0
-        executor = ShardedExecutor(
-            QueryEngine(graph), workers=2, pool_factory=_ExplodingPool
-        )
-        batch = executor.run(queries, 4, algorithm="appfast", epsilon_f=0.5)
-        assert _ExplodingPool.calls == 1
-        assert executor.stats.serial_fallbacks == 1
-        assert executor.stats.batches_parallel == 0
-        reference = QueryEngine(graph)
-        for q in queries:
-            _assert_identical(
-                reference.search(q, 4, algorithm="appfast", epsilon_f=0.5),
-                batch.results[q],
-            )
-
-    def test_segment_failure_falls_back_to_serial(self, graph, queries, monkeypatch):
-        def refuse(arrays):
-            raise OSError("no shared memory on this host")
-
-        monkeypatch.setattr(SharedArrayPack, "create", staticmethod(refuse))
-        executor = ShardedExecutor(QueryEngine(graph), workers=2)
-        batch = executor.run(queries, 4, algorithm="appfast", epsilon_f=0.5)
-        assert executor.stats.serial_fallbacks == 1
-        assert executor.stats.batches_parallel == 0
-        assert executor._pool is None and executor._segments == {}
-        reference = QueryEngine(graph)
-        for q in queries:
-            _assert_identical(
-                reference.search(q, 4, algorithm="appfast", epsilon_f=0.5),
-                batch.results[q],
-            )
-
-    def test_small_batch_stays_serial(self, graph, queries):
-        executor = ShardedExecutor(QueryEngine(graph), workers=4)
-        executor.run(queries[:1], 4)
-        assert executor.stats.batches_serial == 1
-        assert executor.stats.batches_parallel == 0
-
-    def test_k1_batch_stays_serial_and_builds_no_bundles(self, graph, queries):
-        executor = ShardedExecutor(QueryEngine(graph), workers=4)
-        batch = executor.run(queries, 1)
-        assert executor.stats.batches_parallel == 0
-        assert executor.stats.batches_serial == 1
-        assert executor.engine.stats.components_materialised == 0
+    def test_k1_batch_builds_no_bundles(self, graph, queries):
+        engine = QueryEngine(graph)
+        batch = run_plan(engine, plan_batch(engine, queries, 1))
+        assert engine.stats.components_materialised == 0
         reference = QueryEngine(graph)
         for q in queries:
             _assert_identical(reference.search(q, 1), batch.results[q])
 
-    def test_no_workers_stays_serial(self, graph, queries):
-        executor = ShardedExecutor(QueryEngine(graph))
-        executor.run(queries, 4)
-        assert executor.stats.batches_parallel == 0
-        assert executor.stats.queries_serial == len(queries)
-
-    def test_invalid_arguments(self, graph):
-        with pytest.raises(InvalidParameterError):
-            ShardedExecutor(QueryEngine(graph), workers=-1)
-        executor = ShardedExecutor(QueryEngine(graph))
-        with pytest.raises(InvalidParameterError):
-            executor.run([0], 4, algorithm="bogus")
-        with pytest.raises(InvalidParameterError):
-            executor.run([0], 0)
-
     def test_out_of_range_queries_reported_as_errors(self, graph, queries):
-        executor = ShardedExecutor(QueryEngine(graph), workers=2)
+        engine = QueryEngine(graph)
         bad = [-1, graph.num_vertices + 7]
-        batch = executor.run(list(queries) + bad, 4, algorithm="appfast", epsilon_f=0.5)
+        plan = plan_batch(
+            engine, list(queries) + bad, 4, algorithm="appfast", params={"epsilon_f": 0.5}
+        )
+        batch = run_plan(engine, plan)
         assert set(batch.errors) == set(bad)
         for message in batch.errors.values():
             assert "not in the graph" in message
@@ -294,7 +173,7 @@ class TestSACService:
             SACService(graph, engine=QueryEngine(graph))
 
     def test_repeat_batch_served_from_cache(self, graph, queries):
-        service = SACService(graph, workers=2)
+        service = SACService(graph)
         first = service.submit_batch(queries, 4, algorithm="appfast", epsilon_f=0.5)
         second = service.submit_batch(queries, 4, algorithm="appfast", epsilon_f=0.5)
         assert first.cache_hits == 0
@@ -316,19 +195,19 @@ class TestSACService:
         cores = QueryEngine(graph).core_numbers()
         hopeless = [int(v) for v in np.flatnonzero(cores < 4)[:5]]
         assert hopeless, "fixture graph should have some low-core vertices"
-        service = SACService(graph, workers=2)
+        service = SACService(graph)
         batch = service.submit_batch(hopeless, 4)
         assert batch.answered == 0
         assert batch.failed == hopeless
         assert batch.cache_hits == 0
 
     def test_warm_and_stats(self, graph, queries):
-        service = SACService(graph, workers=2)
+        service = SACService(graph)
         components = service.warm(4)
         assert components > 0
         service.submit_batch(queries, 4)
         stats = service.stats()
-        assert stats.executor.queries_parallel + stats.executor.queries_serial == len(queries)
+        assert stats.engine.queries_factorised == len(queries)
         assert stats.cache is not None and stats.cache.stores == len(queries)
 
     def test_no_cache_service_reports_no_hits(self, graph, queries):
@@ -358,15 +237,12 @@ class TestSACService:
 
 
 class TestBatchProcessorIntegration:
-    def test_workers_and_cache_flags_are_wired(self, graph, queries):
-        serial = SACService(graph, use_cache=False)
-        parallel = SACService(graph, workers=2, use_cache=True)
-        try:
-            reference = serial.submit_batch(queries, 4, epsilon_f=0.5)
-            first = parallel.submit_batch(queries, 4, epsilon_f=0.5)
-            second = parallel.submit_batch(queries, 4, epsilon_f=0.5)
-        finally:
-            parallel.close()
+    def test_cache_flag_is_wired(self, graph, queries):
+        uncached = SACService(graph, use_cache=False)
+        cached = SACService(graph, use_cache=True)
+        reference = uncached.submit_batch(queries, 4, epsilon_f=0.5)
+        first = cached.submit_batch(queries, 4, epsilon_f=0.5)
+        second = cached.submit_batch(queries, 4, epsilon_f=0.5)
         assert second.cache_hits == len(queries)
         for q in reference.results:
             _assert_identical(reference.results[q], first.results[q])
@@ -415,7 +291,7 @@ class TestEngineInvalidationCounters:
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_every_algorithm_shards_bitwise(algorithm):
-    """One small end-to-end sharded run per algorithm (exact included)."""
+    """One small end-to-end planned run per algorithm (exact included)."""
     rng = np.random.default_rng(51)
     graph, _ = random_spatial_graph(rng, 40, 110)
     params = {
@@ -429,8 +305,10 @@ def test_every_algorithm_shards_bitwise(algorithm):
     labels, _count = engine.component_labels(2)
     queries = [int(q) for q in np.flatnonzero(labels >= 0)[:6]]
     assert queries
-    executor = ShardedExecutor(QueryEngine(graph), workers=2)
-    batch = executor.run(queries, 2, algorithm=algorithm, **params)
+    planned = QueryEngine(graph)
+    batch = run_plan(
+        planned, plan_batch(planned, queries, 2, algorithm=algorithm, params=params)
+    )
     for q in queries:
         _assert_identical(
             engine.search(q, 2, algorithm=algorithm, **params), batch.results[q]

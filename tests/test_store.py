@@ -1,6 +1,6 @@
-"""Store round trips: snapshots, warm starts, shared memory, corruption.
+"""Store round trips: snapshots, warm starts, corruption.
 
-Three property families back the storage layer's central claim — that
+Two property families back the storage layer's central claim — that
 persistence never changes an answer:
 
 * **Warm-start parity** — an engine rebuilt with ``from_store`` must return
@@ -11,16 +11,12 @@ persistence never changes an answer:
   :class:`~repro.engine.IncrementalEngine` absorbing interleaved check-ins
   and edge flips must match a cold incremental engine replaying the same
   updates (copy-on-first-mutate must be invisible).
-* **Shared-memory shard parity** — answers reconstructed in a worker from a
-  :class:`~repro.store.SharedArrayPack` segment must match the serial path,
-  and segments must be destroyed on close.
 
 Plus the negative paths: missing/corrupt manifests, blob/manifest
 mismatches, version skew, and non-store directories.
 """
 
 import json
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -29,9 +25,8 @@ from hypothesis import strategies as st
 
 from repro.engine import IncrementalEngine, QueryEngine
 from repro.exceptions import NoCommunityError, StoreError
-from repro.service import SACService, ShardedExecutor
-from repro.service.sharding import _run_shard_task
-from repro.store import ArtifactStore, SharedArrayPack
+from repro.service import SACService
+from repro.store import ArtifactStore
 from repro.testing.strategies import random_spatial_graph
 
 ALGOS = {
@@ -204,108 +199,6 @@ class TestWarmIncrementalParity:
         warm.apply_checkin(moved, 0.5, 0.5)
         assert warm.stats.bundles_thawed >= 1
         assert warm.stats.bundles_patched >= 1
-
-
-class TestSharedMemoryShards:
-    """Worker-side segment reconstruction is bitwise faithful and clean."""
-
-    @settings(
-        max_examples=6,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_shard_task_matches_serial(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(16, 32))
-        graph, _ = random_spatial_graph(rng, n, int(rng.integers(2 * n, 4 * n)))
-        engine = QueryEngine(graph)
-        executor = ShardedExecutor(engine, workers=2)
-        try:
-            k = 2
-            labels, _count = engine.component_labels(k)
-            queries = [v for v in range(n) if labels[v] >= 0]
-            if not queries:
-                return
-            shards = {}
-            for query in queries:
-                shards.setdefault(int(labels[query]), []).append(query)
-            # Run the worker entry point in-process: same code path the pool
-            # executes, minus the fork — exactness is what's under test.
-            from repro.service.sharding import ShardTask
-
-            for component, component_queries in shards.items():
-                spec, _spec_bytes = executor._segment_spec(k, component)
-                task = ShardTask(
-                    k=k,
-                    algorithm="appfast",
-                    params={"epsilon_f": 0.5},
-                    queries=component_queries,
-                    segment=spec,
-                )
-                for query, result in _run_shard_task(task):
-                    _assert_identical(
-                        result,
-                        engine.search(query, k, algorithm="appfast", epsilon_f=0.5),
-                        (seed, query),
-                    )
-        finally:
-            executor.close()
-
-    def test_segments_unlinked_on_close(self):
-        rng = np.random.default_rng(5)
-        graph, _ = random_spatial_graph(rng, 24, 80)
-        executor = ShardedExecutor(QueryEngine(graph), workers=2)
-        for component in range(executor.engine.prepare(2)):
-            executor._segment_spec(2, component)
-        names = [pack.name for _v, pack, _s, _b in executor._segments.values()]
-        assert names
-        executor.close()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_segment_refreshed_after_version_bump(self, tmp_path):
-        rng = np.random.default_rng(9)
-        graph, _ = random_spatial_graph(rng, 24, 80)
-        engine = IncrementalEngine(graph.mutable_copy())
-        executor = ShardedExecutor(engine, workers=2)
-        try:
-            labels, _count = engine.component_labels(2)
-            component = int(labels[np.flatnonzero(labels >= 0)[0]])
-            representative = engine.component_representative(2, component)
-            first, _first_bytes = executor._segment_spec(2, component)
-            engine.component_artifacts(2, component)
-            # A check-in on a member bumps the component version; the next
-            # spec must come from a *new* segment with fresh coordinates.
-            engine.apply_checkin(representative, 0.25, 0.75)
-            labels, _count = engine.component_labels(2)
-            component = int(labels[representative])
-            second, _second_bytes = executor._segment_spec(2, component)
-            assert first["pack"]["name"] != second["pack"]["name"]
-            assert executor.stats.segments_created == 2
-        finally:
-            executor.close()
-
-    def test_pack_round_trip_and_readonly(self):
-        arrays = {
-            "a": np.arange(10, dtype=np.int64),
-            "b": np.linspace(0.0, 1.0, 7).reshape(-1, 1) * np.ones((1, 2)),
-            "c": np.arange(5, dtype=np.int32),
-        }
-        pack = SharedArrayPack.create(arrays)
-        try:
-            attached = SharedArrayPack.attach(pack.spec())
-            try:
-                for name, array in arrays.items():
-                    np.testing.assert_array_equal(attached[name], array)
-                    assert not attached[name].flags.writeable
-                with pytest.raises((ValueError, RuntimeError)):
-                    attached["a"][0] = 99
-            finally:
-                attached.close()
-        finally:
-            pack.unlink()
 
 
 class TestNegativePaths:

@@ -377,7 +377,6 @@ class TestSoakAndChaos:
         store = tmp_path / "store"
         service = SACService(engine=IncrementalEngine(base_graph.mutable_copy()))
         service.save(str(store))
-        service.close()
         return str(store)
 
     def test_long_poll_survives_writer_compaction(

@@ -45,9 +45,9 @@ HEADER = """\
 # Public API reference
 
 The programmable surface of the serving stack, layer by layer: the
-[storage layer](architecture.md#the-storage-layer-snapshots-warm-starts-shared-memory)
+[storage layer](architecture.md#the-storage-layer-snapshots-and-warm-starts)
 (`repro.store`), the shared-preprocessing engines (`repro.engine`), the
-[serving layer](architecture.md#the-serving-layer-batches-shards-cached-answers)
+[serving layer](architecture.md#the-serving-layer-planned-batches-cached-answers)
 (`repro.service`), and the network daemon (`repro.server`, operated via
 [docs/serving.md](serving.md)).
 
