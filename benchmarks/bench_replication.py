@@ -82,18 +82,13 @@ class _Tier:
     def __init__(self, store: str, wal_dir: str, max_staleness_lsn: int):
         self.writer = start_in_thread(
             SACService.open(str(store)),
-            ServerConfig(
-                port=0,
-                max_linger_ms=2.0,
-                wal_dir=str(wal_dir),
-                snapshot_path=str(store),
-            ),
+            ServerConfig(port=0, wal_dir=str(wal_dir), snapshot_path=str(store)),
         )
         writer_url = f"http://127.0.0.1:{self.writer.port}"
         self.replicas = [
             start_in_thread(
                 SACService.open(str(store)),
-                ServerConfig(port=0, max_linger_ms=2.0, wal_dir=str(wal_dir)),
+                ServerConfig(port=0, wal_dir=str(wal_dir)),
                 server_factory=lambda svc, cfg: ReplicaServer(
                     svc, cfg, writer_url=writer_url, poll_interval_ms=5.0
                 ),

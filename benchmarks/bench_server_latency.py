@@ -5,12 +5,13 @@ Models the ROADMAP's live-traffic scenario against one running
 answered over HTTP two ways:
 
 * **sequential** — one client, one query per request, each awaited before
-  the next is sent (the no-coalescing baseline: every request pays the full
-  micro-batch linger plus its own dispatch);
-* **concurrent** — the same queries fired from many client threads at once,
-  so the daemon coalesces them into micro-batches and dispatches whole
-  groups through :meth:`repro.service.SACService.submit_batch`, amortising
-  linger and per-dispatch overhead across the batch.
+  the next is sent (the no-coalescing baseline: the writer is idle whenever
+  a query arrives, so every query is dispatched alone, on arrival);
+* **concurrent** — the same queries fired from many client threads at once.
+  Queries that arrive while the writer is busy wait and go out as one group
+  right after the job in flight, through
+  :meth:`repro.service.SACService.submit_batch`, sharing the per-dispatch
+  overhead across the group.
 
 The server runs with the answer cache **disabled** so both passes measure
 computation, not cache hits, and the concurrent pass runs first so neither
@@ -19,9 +20,11 @@ Every HTTP answer is compared field-by-field (members, radius, centre)
 against a serial :class:`repro.engine.QueryEngine` answering the identical
 queries in-process — the responses must be **bit-identical** (JSON float
 round-tripping is exact for IEEE doubles), and the benchmark exits non-zero
-if they ever diverge.  The headline number is the concurrent/sequential
-throughput ratio; the ≥2× target is what ``docs/serving.md``'s
-capacity-planning section cites.
+if they ever diverge; that is its only failure condition.  The
+concurrent/sequential throughput ratio and the realised mean batch size are
+reported, not enforced: no query waits on a timer, so the sequential pass
+pays no coalescing delay and the ratio shows only what sharing a dispatch
+saves (``docs/serving.md``'s capacity-planning section quotes a run).
 
 Run standalone::
 
@@ -85,7 +88,7 @@ def _time_concurrent(address, jobs, threads):
     return responses, time.perf_counter() - start
 
 
-def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, threads, linger_ms):
+def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, threads):
     """Benchmark each dataset's server; returns ``(rows, all_identical)``."""
     rows = []
     identical = True
@@ -121,10 +124,7 @@ def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, th
 
         service = SACService(graph, use_cache=False)
         service.warm(k)  # both passes start from warm engine artifacts
-        handle = start_in_thread(
-            service,
-            ServerConfig(port=0, max_linger_ms=linger_ms),
-        )
+        handle = start_in_thread(service, ServerConfig(port=0))
         try:
             address = (handle.host, handle.port)
             concurrent_responses, concurrent_time = _time_concurrent(address, jobs, threads)
@@ -184,7 +184,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=None, help="dataset scale multiplier")
     parser.add_argument("--queries", type=int, default=None, help="queries per dataset")
     parser.add_argument("--threads", type=int, default=16, help="concurrent client threads")
-    parser.add_argument("--linger-ms", type=float, default=5.0, help="server micro-batch linger")
     parser.add_argument("--k", type=int, default=4)
     parser.add_argument("--epsilon-f", type=float, default=0.5)
     parser.add_argument(
@@ -201,7 +200,7 @@ def main(argv=None) -> int:
 
     print(
         f"server latency benchmark: datasets={names} scale={scale} queries={queries} "
-        f"threads={args.threads} linger={args.linger_ms}ms k={args.k}"
+        f"threads={args.threads} k={args.k}"
     )
     rows, identical = run_benchmark(
         names,
@@ -210,7 +209,6 @@ def main(argv=None) -> int:
         k=args.k,
         epsilon_f=args.epsilon_f,
         threads=args.threads,
-        linger_ms=args.linger_ms,
     )
     write_result(
         "server_latency",
@@ -222,10 +220,9 @@ def main(argv=None) -> int:
         return 1
     overall = next((r for r in rows if r["dataset"] == "OVERALL"), None)
     if overall is not None:
-        target = "met" if overall["speedup"] >= 2.0 else "NOT met (machine-dependent)"
         print(
             f"overall: concurrent {overall['concurrent_qps']} q/s vs sequential "
-            f"{overall['sequential_qps']} q/s — {overall['speedup']}x, >=2x target {target}"
+            f"{overall['sequential_qps']} q/s — {overall['speedup']}x"
         )
     return 0
 

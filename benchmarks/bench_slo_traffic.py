@@ -162,7 +162,7 @@ def replay(address, events, *, k, deadline_ms, slo, timeout_s):
     return latencies_ms, hits, rungs, errors
 
 
-def _serve(graph, *, k, linger_ms, slo):
+def _serve(graph, *, k, slo):
     """A fresh daemon over a private mutable copy, cache off, huge lanes."""
     service = SACService(
         engine=IncrementalEngine(graph.mutable_copy()), use_cache=False
@@ -172,7 +172,6 @@ def _serve(graph, *, k, linger_ms, slo):
         service,
         ServerConfig(
             port=0,
-            max_linger_ms=linger_ms,
             warm_ks=(k,),
             slo_enabled=slo,
             # Depth far beyond the trace so admission control never rejects:
@@ -207,7 +206,7 @@ def _row(mode, events, latencies_ms, hits, errors):
 
 
 def run_benchmark(
-    *, dataset, scale, k, deadline_ms, duration_s, base_rate, burst_rate, phase_s, mutation_mix, linger_ms, seed, timeout_s
+    *, dataset, scale, k, deadline_ms, duration_s, base_rate, burst_rate, phase_s, mutation_mix, seed, timeout_s
 ):
     """Replay one trace statically and under SLO; returns the two rows."""
     graph = load_dataset(dataset, scale=scale)
@@ -231,7 +230,7 @@ def run_benchmark(
     rows = []
     rungs_by_mode = {}
     for mode, slo in (("static-exact+", False), ("slo-ladder", True)):
-        handle = _serve(graph, k=k, linger_ms=linger_ms, slo=slo)
+        handle = _serve(graph, k=k, slo=slo)
         try:
             latencies_ms, hits, rungs, errors = replay(
                 (handle.host, handle.port),
@@ -264,7 +263,6 @@ def main(argv=None) -> int:
     parser.add_argument("--burst-rate", type=float, default=None, help="burst-phase arrivals per second")
     parser.add_argument("--phase", type=float, default=1.0, help="phase length in seconds")
     parser.add_argument("--mutation-mix", type=float, default=0.05, help="fraction of events that are check-ins")
-    parser.add_argument("--linger-ms", type=float, default=2.0, help="server micro-batch linger")
     parser.add_argument("--seed", type=int, default=17)
     parser.add_argument("--timeout", type=float, default=180.0, help="client timeout in seconds")
     args = parser.parse_args(argv)
@@ -283,7 +281,6 @@ def main(argv=None) -> int:
         burst_rate=burst_rate,
         phase_s=args.phase,
         mutation_mix=args.mutation_mix,
-        linger_ms=args.linger_ms,
         seed=args.seed,
         timeout_s=args.timeout,
     )

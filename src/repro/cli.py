@@ -209,13 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=32,
-        help="micro-batch flush threshold: coalesce at most this many concurrent queries",
-    )
-    daemon.add_argument(
-        "--linger-ms",
-        type=float,
-        default=5.0,
-        help="micro-batch flush deadline: a query waits at most this long to be coalesced",
+        help="micro-batch flush threshold: coalesce at most this many queries "
+        "that arrive while the writer is busy",
     )
     daemon.add_argument(
         "--warm-ks",
@@ -735,7 +730,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch_size=args.max_batch,
-        max_linger_ms=args.linger_ms,
         max_body_bytes=args.max_body_bytes,
         max_batch_queries=args.max_batch_queries,
         warm_ks=warm_ks,
@@ -772,8 +766,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         role = f", role {server.role}" if server.role != "single" else ""
         print(
             f"serving {engine.graph.num_vertices} vertices on {server.url} "
-            f"(micro-batch <= {config.max_batch_size} / "
-            f"{config.max_linger_ms:g} ms linger{role})",
+            f"(micro-batch <= {config.max_batch_size}{role})",
             flush=True,
         )
         await server.serve_forever()

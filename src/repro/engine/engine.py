@@ -30,7 +30,7 @@ component's bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Dict, List, Optional, Tuple
 
@@ -81,9 +81,9 @@ class EngineStats:
         Full graph-wide core decompositions performed (stays at 1 for a
         static graph; the incremental engine repairs core numbers in place
         instead of incrementing this).
-    ks_labelled:
-        Every ``k`` whose k-ĉores were labelled, in order; a ``k`` appears
-        again each time its labelling is rebuilt after an invalidation.
+    labelings_built:
+        Per-``k`` labellings built and cached, each rebuild after an
+        invalidation included.
     location_updates:
         Check-ins applied via :meth:`IncrementalEngine.apply_checkin`.
     edge_updates:
@@ -134,7 +134,7 @@ class EngineStats:
     queries_factorised: int = 0
     components_materialised: int = 0
     core_decompositions: int = 0
-    ks_labelled: List[int] = field(default_factory=list)
+    labelings_built: int = 0
     bundles_loaded: int = 0
     bundles_materialised: int = 0
     bundles_evicted: int = 0
@@ -292,7 +292,9 @@ class QueryEngine:
         """Label the k-ĉores: returns ``(labels, count)``.
 
         ``labels[v]`` is the component id of vertex ``v`` inside the k-core
-        (``-1`` when ``v`` is not in the k-core).  Computed once per ``k``.
+        (``-1`` when ``v`` is not in the k-core).  Computed once per ``k``;
+        an empty k-core's labelling is built afresh and never cached, so a
+        ``k`` past the maximum core number costs no memory.
         """
         if not isinstance(k, int) or k < 1:
             raise InvalidParameterError(f"k must be a positive integer, got {k!r}")
@@ -301,6 +303,8 @@ class QueryEngine:
             return cached
         mask = self.core_numbers() >= k
         labels = np.full(self.graph.num_vertices, -1, dtype=np.int64)
+        if not mask.any():
+            return labels, 0
         indptr, indices = self.graph.csr
         count = 0
         reps: List[int] = []
@@ -325,7 +329,7 @@ class QueryEngine:
             count += 1
         self._labels[k] = (labels, count)
         self._reps[k] = np.asarray(reps, dtype=np.int64)
-        self.stats.ks_labelled.append(k)
+        self.stats.labelings_built += 1
         return self._labels[k]
 
     def prepare(self, k: int) -> int:

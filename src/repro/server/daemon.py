@@ -5,14 +5,14 @@ network server.  Three ideas organise it:
 
 * **Micro-batching** — concurrent ``POST /query`` requests are not executed
   one by one: each query joins a pending group keyed by
-  ``(k, algorithm, params)`` and the group is dispatched as ONE
-  :meth:`~repro.service.SACService.submit_batch` call when it reaches
-  ``max_batch_size`` or has lingered ``max_linger_ms`` milliseconds
-  (whichever comes first).  The batch then flows through the existing
-  serving layer unchanged — engine artifact sharing, the component-grouped
-  batch plan, and the answer cache all serve network traffic
-  exactly as they serve library callers, and every coalesced query saves
-  the per-request dispatch overhead a one-query batch would pay.
+  ``(k, algorithm, params)``, and the group is dispatched as ONE
+  :meth:`~repro.service.SACService.submit_batch` call as soon as the writer
+  is free — at once when it is idle, else right after the job in flight —
+  or when it reaches ``max_batch_size``.  As in a group commit, the
+  writer's busy time is the batching window: no query waits on a timer,
+  and queries coalesce exactly when work queues.  The batch then flows
+  through the serving layer unchanged (artifact sharing, the batch plan,
+  the answer cache), exactly as it serves library callers.
 * **A single writer** — every piece of engine work (batch execution *and*
   :class:`~repro.engine.IncrementalEngine` mutations) funnels through one
   FIFO job queue drained by one task onto one engine thread.  Mutations
@@ -140,12 +140,7 @@ class ServerConfig:
         — how the tests and the benchmark run without port collisions).
     max_batch_size:
         Micro-batch flush threshold: a pending group reaching this many
-        queries is dispatched immediately.
-    max_linger_ms:
-        Micro-batch flush deadline: the oldest query of a pending group
-        waits at most this long before the group is dispatched regardless
-        of size.  The knob trades single-request latency for coalescing —
-        see the capacity-planning section of ``docs/serving.md``.
+        queries is dispatched immediately, even while the writer is busy.
     max_body_bytes:
         Request bodies larger than this are refused with ``413``.
     max_batch_queries:
@@ -209,13 +204,12 @@ class ServerConfig:
         Subscriptions with no poll/stream contact for this long are expired
         at the next mutation.  Keep it above ``poll_timeout_ms`` (a parked
         poller only counts as contact when its poll arrives); ``None``
-        disables idle GC.
+        disables idle GC, and any other value must be finite and above 0.
     """
 
     host: str = "127.0.0.1"
     port: int = 8080
     max_batch_size: int = 32
-    max_linger_ms: float = 5.0
     max_body_bytes: int = 1 << 20
     max_batch_queries: int = 1024
     warm_ks: Sequence[int] = ()
@@ -236,7 +230,8 @@ class ServerConfig:
         """Refuse settings that would turn all traffic away or crash a start.
 
         Counts and byte limits must be integers of at least 1, the waits
-        finite and non-negative, and a default deadline finite and positive.
+        finite and non-negative, and a default deadline or a subscription
+        idle limit, when set, finite and positive.
         """
         for name in (
             "max_batch_size",
@@ -256,12 +251,12 @@ class ServerConfig:
                 raise InvalidParameterError(
                     f"{name} must be a finite number of at least 0, got {value!r}"
                 )
-        deadline = self.default_deadline_ms
-        if deadline is not None and not (_is_finite(deadline) and deadline > 0):
-            raise InvalidParameterError(
-                f"default_deadline_ms must be None or a finite number above 0, "
-                f"got {deadline!r}"
-            )
+        for name in ("default_deadline_ms", "subscription_idle_seconds"):
+            value = getattr(self, name)
+            if value is not None and not (_is_finite(value) and value > 0):
+                raise InvalidParameterError(
+                    f"{name} must be None or a finite number above 0, got {value!r}"
+                )
 
 
 @dataclass
@@ -269,8 +264,8 @@ class EndpointStats:
     """Latency/throughput counters of one endpoint.
 
     ``seconds_total / requests`` is the mean handler latency (micro-batched
-    queries include their linger, so the mean reflects what the client
-    experienced, not just compute).
+    queries include their wait for the writer, so the mean reflects what
+    the client experienced, not just compute).
     """
 
     requests: int = 0
@@ -304,8 +299,9 @@ class BatcherStats:
     ``queries_coalesced / batches_dispatched`` is the realised mean batch
     size — the amortisation factor the micro-batcher achieved.  The
     ``flushes_*`` split says *why* batches closed: ``size`` flushes mean the
-    server is saturated (raise ``max_batch_size``), ``linger`` flushes mean
-    traffic is sparse, ``mutation`` flushes count write-barrier flushes, and
+    server is saturated (raise ``max_batch_size``), ``idle`` flushes count
+    groups sent because the writer was free (on arrival, or right after the
+    job in flight), ``mutation`` flushes count write-barrier flushes, and
     ``drain`` flushes happen only at shutdown.  ``queries_deduped`` counts
     coalesced queries that repeated a vertex already pending in the same
     group — the occurrences the batch plan answers by fan-out instead of
@@ -318,7 +314,7 @@ class BatcherStats:
     largest_batch: int = 0
     queries_deduped: int = 0
     flushes_size: int = 0
-    flushes_linger: int = 0
+    flushes_idle: int = 0
     flushes_mutation: int = 0
     flushes_drain: int = 0
     queries_deadline: int = 0
@@ -364,7 +360,7 @@ class _JobQueue:
     """Single-consumer FIFO job queue with a deadline fast lane.
 
     Drop-in for the ``asyncio.Queue`` subset the writer uses
-    (``put_nowait`` / ``get`` / ``task_done`` / ``join`` / ``empty``), plus
+    (``put_nowait`` / ``get`` / ``task_done`` / ``join``), plus ``idle`` and
     one twist: a job enqueued with ``urgent=True`` is inserted ahead of the
     queued **best-effort batch** jobs but never ahead of another urgent job
     (deadline traffic stays FIFO among itself) and never ahead of a
@@ -418,9 +414,9 @@ class _JobQueue:
         """Wait until every enqueued job has been marked done."""
         await self._all_done.wait()
 
-    def empty(self) -> bool:
-        """Whether no jobs are waiting to be dequeued."""
-        return not self._jobs
+    def idle(self) -> bool:
+        """Whether no job is queued or running (every job marked done)."""
+        return self._unfinished == 0
 
 
 class SACServer:
@@ -477,12 +473,6 @@ class SACServer:
         # Admitted-but-unanswered query occurrences per lane — the depth the
         # admission controller compares against max_queue_depth.
         self._lane_pending: Dict[str, int] = {LANE_DEADLINE: 0, LANE_BESTEFFORT: 0}
-        self._linger_timers: Dict[BatchKey, asyncio.TimerHandle] = {}
-        # Groups whose linger expired while the writer was busy: they keep
-        # coalescing (flushing early would only queue them) and are
-        # dispatched the instant the writer goes idle.
-        self._ripe: set = set()
-        self._writer_busy = False
         self._connections: set = set()
         self._inflight = 0
         self._idle: Optional[asyncio.Event] = None
@@ -823,11 +813,7 @@ class SACServer:
     # ------------------------------------------------------------ micro-batching
     def _flush(self, key: BatchKey, reason: str) -> None:
         """Dispatch one pending group to the writer queue (synchronous)."""
-        self._ripe.discard(key)
         entries = self._pending.pop(key, None)
-        timer = self._linger_timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
         if not entries:
             return
         stats = self.batcher_stats
@@ -939,26 +925,9 @@ class SACServer:
         )
         if len(entries) >= self.config.max_batch_size:
             self._flush(key, reason="size")
-        elif key not in self._linger_timers and key not in self._ripe:
-            self._linger_timers[key] = self._loop.call_later(
-                self.config.max_linger_ms / 1000.0, self._linger_expired, key
-            )
+        elif self._jobs.idle():
+            self._flush(key, reason="idle")
         return future
-
-    def _linger_expired(self, key: BatchKey) -> None:
-        """Linger deadline: flush now if the writer could start the batch now.
-
-        When the writer is busy, dispatching would not start this group any
-        sooner — it keeps coalescing as *ripe* instead, and the writer
-        flushes it as soon as the in-flight job finishes (unconditionally,
-        so it is delayed by at most that one job, never starved by a stream
-        of later arrivals).  Throughput strictly improves.
-        """
-        self._linger_timers.pop(key, None)
-        if self._writer_busy or not self._jobs.empty():
-            self._ripe.add(key)
-        else:
-            self._flush(key, reason="linger")
 
     async def _writer_loop(self) -> None:
         """The single writer: drain the job queue onto the engine thread.
@@ -970,7 +939,6 @@ class SACServer:
         """
         while True:
             job = await self._jobs.get()
-            self._writer_busy = True
             try:
                 outcome = await self._loop.run_in_executor(self._engine_thread, job.run)
             except Exception as error:  # noqa: BLE001 - routed to the waiters
@@ -990,14 +958,12 @@ class SACServer:
                 if job.future is not None and not job.future.done():
                     job.future.set_result(outcome)
             finally:
-                self._writer_busy = False
                 self._jobs.task_done()
-            # Dispatch every group that passed its linger deadline while the
-            # job ran.  Unconditionally — even with more jobs queued — so a
-            # ripe group waits at most one job behind traffic that arrived
-            # after its deadline, never indefinitely.
-            for key in list(self._ripe):
-                self._flush(key, reason="linger")
+            # Dispatch every group that coalesced while the job ran.
+            # Unconditionally — even with more jobs queued — so a waiting
+            # group is delayed by at most the jobs queued ahead of it now,
+            # never starved by later arrivals.
+            self._flush_all(reason="idle")
 
     async def _run_mutation(self, run: Callable[[], object]) -> object:
         """Write barrier: flush pending queries, then run ``run`` serialised.
@@ -1563,7 +1529,6 @@ class SACServer:
             },
             "config": {
                 "max_batch_size": self.config.max_batch_size,
-                "max_linger_ms": self.config.max_linger_ms,
                 "max_batch_queries": self.config.max_batch_queries,
                 "max_queue_depth": self.config.max_queue_depth,
                 "retry_after_seconds": self.config.retry_after_seconds,

@@ -45,7 +45,7 @@ REASONS = {
 #: Upper bound on one header line (and the request line); longer is a 431.
 MAX_HEADER_LINE = 8192
 
-#: Upper bound on the number of header lines in one request.
+#: Upper bound on the number of header lines in one request or response.
 MAX_HEADER_COUNT = 100
 
 
@@ -122,6 +122,35 @@ class ConnectionClosed(Exception):
     """The peer closed the connection cleanly between requests."""
 
 
+async def _read_headers(
+    reader: StreamReader, *, too_many: int, malformed: int, what: str
+) -> Dict[str, str]:
+    """Read header lines up to the blank line into a lower-cased dict.
+
+    The bound counts lines, not distinct names.  Over :data:`MAX_HEADER_COUNT`
+    lines fails with ``too_many``; a line without a colon, EOF, or a second
+    ``Content-Length`` that disagrees with the first (RFC 9112 §6.3: ambiguous
+    framing, the request-smuggling setup) with ``malformed``.
+    """
+    headers: Dict[str, str] = {}
+    for _ in range(MAX_HEADER_COUNT + 1):
+        try:
+            raw = await _read_line(reader)
+        except ConnectionClosed:
+            raise HttpError(malformed, f"connection closed inside {what} headers") from None
+        if not raw:
+            return headers
+        name, sep, value = raw.partition(b":")
+        if not sep:
+            raise HttpError(malformed, f"malformed {what} header line: {raw[:120]!r}")
+        key = name.decode("latin-1").strip().lower()
+        text = value.decode("latin-1").strip(" \t")
+        if key == "content-length" and headers.get(key, text) != text:
+            raise HttpError(malformed, f"conflicting {what} Content-Length headers")
+        headers[key] = text
+    raise HttpError(too_many, f"too many {what} header lines")
+
+
 async def read_request(reader: StreamReader, *, max_body_bytes: int) -> Request:
     """Parse one HTTP request off the stream.
 
@@ -137,27 +166,7 @@ async def read_request(reader: StreamReader, *, max_body_bytes: int) -> Request:
     if not version.startswith(b"HTTP/1."):
         raise HttpError(400, f"unsupported protocol version {version!r}")
 
-    headers: Dict[str, str] = {}
-    while True:
-        if len(headers) > MAX_HEADER_COUNT:
-            raise HttpError(431, "too many header lines")
-        try:
-            raw = await _read_line(reader)
-        except ConnectionClosed:
-            raise HttpError(400, "connection closed inside headers") from None
-        if not raw:
-            break
-        name, sep, value = raw.partition(b":")
-        if not sep:
-            raise HttpError(400, f"malformed header line: {raw[:120]!r}")
-        key = name.decode("latin-1").strip().lower()
-        text = value.decode("latin-1").strip(" \t")
-        # RFC 9112 §6.3: a second Content-Length that disagrees with the
-        # first makes the framing ambiguous (the request-smuggling setup).
-        if key == "content-length" and headers.get(key, text) != text:
-            raise HttpError(400, "conflicting Content-Length headers")
-        headers[key] = text
-
+    headers = await _read_headers(reader, too_many=431, malformed=400, what="request")
     if "transfer-encoding" in headers:
         raise HttpError(400, "chunked transfer encoding is not supported")
     body = b""
@@ -301,21 +310,7 @@ async def read_response(
     except ValueError:
         raise HttpError(502, f"malformed response status {parts[1]!r}") from None
 
-    headers: Dict[str, str] = {}
-    while True:
-        if len(headers) > MAX_HEADER_COUNT:
-            raise HttpError(502, "too many response header lines")
-        try:
-            raw = await _read_line(reader)
-        except ConnectionClosed:
-            raise HttpError(502, "connection closed inside response headers") from None
-        if not raw:
-            break
-        name, sep, value = raw.partition(b":")
-        if not sep:
-            raise HttpError(502, f"malformed response header: {raw[:120]!r}")
-        headers[name.decode("latin-1").strip().lower()] = value.decode("latin-1").strip()
-
+    headers = await _read_headers(reader, too_many=502, malformed=502, what="response")
     body = b""
     try:
         length = int(headers.get("content-length", "0"))

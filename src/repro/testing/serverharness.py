@@ -84,13 +84,11 @@ def serve(base_graph, **config_kwargs):
     """Start a fresh incremental-engine daemon over a private graph copy.
 
     Returns the :class:`~repro.server.ServerHandle`; the caller stops it.
-    Keyword arguments override the fast-linger test defaults on
-    :class:`~repro.server.ServerConfig`.
+    Keyword arguments are :class:`~repro.server.ServerConfig` fields; the
+    port defaults to an ephemeral one.
     """
     service = SACService(engine=IncrementalEngine(base_graph.mutable_copy()))
-    defaults = dict(port=0, max_linger_ms=2.0)
-    defaults.update(config_kwargs)
-    return start_in_thread(service, ServerConfig(**defaults))
+    return start_in_thread(service, ServerConfig(**{"port": 0, **config_kwargs}))
 
 
 class Tier:
@@ -106,13 +104,12 @@ class Tier:
         self.wal_dir = str(wal_dir)
         self.writer = start_in_thread(
             SACService.open(snapshot),
-            ServerConfig(port=0, max_linger_ms=2.0, wal_dir=self.wal_dir,
-                         snapshot_path=snapshot),
+            ServerConfig(port=0, wal_dir=self.wal_dir, snapshot_path=snapshot),
         )
         self.replicas = [
             start_in_thread(
                 SACService.open(snapshot),
-                ServerConfig(port=0, max_linger_ms=2.0, wal_dir=self.wal_dir),
+                ServerConfig(port=0, wal_dir=self.wal_dir),
                 server_factory=lambda service, config: ReplicaServer(
                     service,
                     config,

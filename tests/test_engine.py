@@ -95,6 +95,21 @@ class TestEngineCaching:
         assert count == 1
         assert labels[6] == -1 and labels[0] == 0
 
+    def test_empty_kcore_labellings_are_not_cached(self, medium_graph):
+        """Asking about ever larger ``k`` must not grow the labelling cache."""
+        engine = QueryEngine(medium_graph)
+        top = int(engine.core_numbers().max())
+        for k in range(top + 1, top + 301):
+            with pytest.raises(NoCommunityError):
+                engine.search(0, k)
+            labels, count = engine.component_labels(k)
+            assert count == 0 and (labels == -1).all()
+        assert engine.export_state()["labellings"] == {}
+        assert engine.stats.labelings_built == 0
+        engine.prepare(top)
+        assert list(engine.export_state()["labellings"]) == [top]
+        assert engine.stats.labelings_built == 1
+
     def test_artifacts_shared_within_component(self, medium_graph, medium_queries):
         engine = QueryEngine(medium_graph)
         contexts = [engine.context(q, 4) for q in medium_queries]

@@ -9,6 +9,8 @@ classes pin down the layers it is built from (grid point moves, CSR edge
 splicing, subcore-confined core maintenance, cache invalidation).
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -290,6 +292,31 @@ class TestIncrementalEngineParity:
         engine.apply_edge(*missing, "insert")
         engine.apply_edge(*missing, "delete")
         assert engine.stats.edge_updates == 2
+
+    def test_labelling_rebuilds_are_counted_not_listed(self):
+        """Each rebuild after an in-core edge delete bumps a counter.
+
+        The stats carry no per-rebuild list, so ``GET /stats`` stays the
+        same size however long the mutation stream runs.
+        """
+        graph = brightkite_like(300, seed=3)
+        engine = IncrementalEngine(graph)
+        cores = engine.core_numbers()
+        u = next(v for v in range(graph.num_vertices) if cores[v] >= 4)
+        v = next(int(w) for w in graph.neighbors(u) if cores[w] >= 4)
+        engine.search(u, 4, epsilon_f=0.5)
+        for _ in range(50):
+            for op in ("delete", "insert"):
+                engine.apply_edge(u, v, op)
+                try:
+                    engine.search(u, 4, epsilon_f=0.5)
+                except NoCommunityError:
+                    pass
+        assert engine.stats.labelings_invalidated >= 50
+        assert engine.stats.labelings_built == 1 + engine.stats.labelings_invalidated
+        assert all(
+            isinstance(value, (int, float)) for value in asdict(engine.stats).values()
+        )
 
     def test_invalid_op_rejected_without_mutation(self):
         rng = np.random.default_rng(18)

@@ -190,10 +190,7 @@ class TestReplicaReplay:
         service.save(str(store))
         writer = start_in_thread(
             SACService.open(str(store)),
-            ServerConfig(
-                port=0, max_linger_ms=2.0, wal_dir=str(wal_dir),
-                snapshot_path=str(store),
-            ),
+            ServerConfig(port=0, wal_dir=str(wal_dir), snapshot_path=str(store)),
         )
         try:
             with SACClient("127.0.0.1", writer.port) as client:
@@ -209,7 +206,7 @@ class TestReplicaReplay:
             # (snapshot_lsn=0 cursor): its very first poll hits the gap.
             replica = start_in_thread(
                 SACService.open(str(store)),
-                ServerConfig(port=0, max_linger_ms=2.0, wal_dir=str(wal_dir)),
+                ServerConfig(port=0, wal_dir=str(wal_dir)),
                 server_factory=lambda service, config: ReplicaServer(
                     service, config, poll_interval_ms=10.0
                 ),
@@ -244,10 +241,7 @@ class TestReplicaReplay:
         SACService.open(snapshot).save(str(store))
         writer = start_in_thread(
             SACService.open(str(store)),
-            ServerConfig(
-                port=0, max_linger_ms=2.0, wal_dir=str(wal_dir),
-                snapshot_path=str(store),
-            ),
+            ServerConfig(port=0, wal_dir=str(wal_dir), snapshot_path=str(store)),
         )
         try:
             mutations = _mutations(eligible)[:3]
@@ -258,7 +252,7 @@ class TestReplicaReplay:
                     client.checkin(mutation["user"], mutation["x"], mutation["y"])
             replica = start_in_thread(
                 SACService.open(str(store), use_cache=False),
-                ServerConfig(port=0, max_linger_ms=2.0, wal_dir=str(wal_dir)),
+                ServerConfig(port=0, wal_dir=str(wal_dir)),
                 server_factory=lambda service, config: ReplicaServer(
                     service, config, poll_interval_ms=10.0
                 ),

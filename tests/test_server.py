@@ -13,7 +13,10 @@ guarantees:
 * malformed traffic (broken JSON, garbage framing, oversized bodies and
   batches) is answered with the right 4xx and never wedges the connection;
 * a graceful stop drains: pending coalesced queries are answered, then the
-  listener goes away.
+  listener goes away;
+* a query is dispatched the moment the writer could start it, and queries
+  that arrive while the writer is busy coalesce into one group behind the
+  job in flight.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.engine import IncrementalEngine, QueryEngine
 from repro.exceptions import InvalidParameterError
 from repro.server import SACClient, ServerConfig, ServerError, start_in_thread
 from repro.server.client import parallel_queries
+from repro.server.http import MAX_HEADER_COUNT, HttpError, read_response
 from repro.service import FULL_LADDER, SACService
 from repro.testing.serverharness import (
     EPS,
@@ -41,11 +45,73 @@ from repro.testing.serverharness import (
 )
 
 
-def _hold_lane_slot(handle, label, **kwargs):
-    """Park one lingering query in its admission lane; returns its thread.
+def _wait_until(predicate, timeout: float = 30.0) -> None:
+    """Poll ``predicate`` until it holds; fail the test after ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.01)
 
-    The server must run with a long ``max_linger_ms`` so the query stays
-    queued; it is answered when the linger expires or the server drains.
+
+class _WriterGate:
+    """Hold a daemon's single writer busy until :meth:`release`.
+
+    The gate is a writer job that blocks on an event, as a slow engine job
+    would, so every ``/query`` arriving meanwhile waits in its pending
+    group.  The job takes no admission slot and changes no state.
+    """
+
+    def __init__(self, handle):
+        running, self._open = threading.Event(), threading.Event()
+
+        def hold():
+            running.set()
+            self._open.wait()
+
+        self._job = asyncio.run_coroutine_threadsafe(
+            handle.server._run_mutation(hold), handle._loop
+        )
+        assert running.wait(timeout=30), "the gated job never started"
+
+    def release(self) -> None:
+        """Let the gated job finish; the groups waiting behind it dispatch."""
+        self._open.set()
+        self._job.result(timeout=30)
+
+
+def _lane_pending(handle, lane: str = "besteffort") -> int:
+    """Admitted-but-unanswered queries in one lane, as ``GET /stats`` shows."""
+    with SACClient(handle.host, handle.port) as probe:
+        return probe.stats()["slo"]["lanes"][lane]["pending"]
+
+
+def _send_behind_gate(handle, labels, threads: int):
+    """Send best-effort ``/query`` for ``labels`` from ``threads`` clients.
+
+    A :class:`_WriterGate` holds the writer until the first ``threads``
+    queries wait, then opens; returns the responses in ``labels`` order.
+    """
+    gate = _WriterGate(handle)
+    box = {}
+    jobs = [{"vertex": label, "k": K, "params": EPS} for label in labels]
+    sender = threading.Thread(
+        target=lambda: box.update(
+            responses=parallel_queries((handle.host, handle.port), jobs, threads=threads)
+        )
+    )
+    sender.start()
+    _wait_until(lambda: _lane_pending(handle) == threads)
+    gate.release()
+    sender.join(timeout=30)
+    assert not sender.is_alive()
+    return box["responses"]
+
+
+def _hold_lane_slot(handle, label, **kwargs):
+    """Park one query in its admission lane; returns its thread.
+
+    The writer must be held busy by a :class:`_WriterGate`, so the query
+    stays pending; it is answered when the gate opens or the server drains.
     """
     lane = "deadline" if "deadline_ms" in kwargs else "besteffort"
 
@@ -55,9 +121,7 @@ def _hold_lane_slot(handle, label, **kwargs):
 
     thread = threading.Thread(target=ask)
     thread.start()
-    with SACClient(handle.host, handle.port) as probe:
-        while probe.stats()["slo"]["lanes"][lane]["pending"] < 1:
-            time.sleep(0.01)
+    _wait_until(lambda: _lane_pending(handle, lane) >= 1)
     return thread
 
 
@@ -149,7 +213,7 @@ class TestQueryEndpoint:
     ):
         """A coalescing query must not be starved by a stream of batches."""
         labels = _eligible_labels(reference, 6)
-        handle = _serve(base_graph, max_linger_ms=150.0)
+        handle = _serve(base_graph)
         outcome = {}
         stop = threading.Event()
 
@@ -179,10 +243,9 @@ class TestQueryEndpoint:
         self, base_graph, reference
     ):
         labels = _eligible_labels(reference, 12)
-        handle = _serve(base_graph, max_linger_ms=25.0)
+        handle = _serve(base_graph)
         try:
-            jobs = [{"vertex": label, "k": K, "params": EPS} for label in labels]
-            responses = parallel_queries((handle.host, handle.port), jobs, threads=6)
+            responses = _send_behind_gate(handle, labels, threads=6)
             stats = handle.server.batcher_stats
         finally:
             handle.stop()
@@ -194,9 +257,75 @@ class TestQueryEndpoint:
             ]
             assert response["radius"] == result.circle.radius
         # At least one flush served more than one query — the coalescing
-        # actually happened (6 threads against a 25 ms linger).
+        # actually happened (6 threads waiting behind a busy writer).
         assert stats.queries_coalesced == len(labels)
         assert stats.batches_dispatched < len(labels)
+
+
+class TestDispatchWhenIdle:
+    """A query waits for the writer, never for a timer."""
+
+    def test_lone_query_on_an_idle_server_dispatches_on_arrival(
+        self, base_graph, reference
+    ):
+        label = _eligible_labels(reference, 1)[0]
+        handle = _serve(base_graph)
+        try:
+            with SACClient(handle.host, handle.port) as client:
+                assert client.query(label, K, params=EPS)["found"] is True
+                batcher = client.stats()["batcher"]
+        finally:
+            handle.stop()
+        assert batcher["flushes_idle"] == 1
+        assert batcher["batches_dispatched"] == 1
+
+    def test_queries_behind_a_busy_writer_go_out_as_one_group(
+        self, base_graph, reference
+    ):
+        labels = _eligible_labels(reference, 5)
+        handle = _serve(base_graph)
+        try:
+            responses = _send_behind_gate(handle, labels, threads=len(labels))
+            stats = handle.server.batcher_stats
+        finally:
+            handle.stop()
+        assert [response["found"] for response in responses] == [True] * 5
+        assert stats.largest_batch == 5
+        assert stats.batches_dispatched == 1
+        assert stats.flushes_idle == 1
+
+    def test_checkin_flushes_a_waiting_query_first(self, base_graph, reference):
+        label = _eligible_labels(reference, 1)[0]
+        handle = _serve(base_graph)
+        outcome = {}
+
+        def pending_query():
+            with SACClient(handle.host, handle.port) as mine:
+                outcome["query"] = mine.query(label, K, params=EPS)
+
+        def checkin():
+            with SACClient(handle.host, handle.port) as mine:
+                outcome["checkin"] = mine.checkin(label, 0.5, 0.5)
+
+        try:
+            gate = _WriterGate(handle)
+            threads = [threading.Thread(target=pending_query)]
+            threads[0].start()
+            _wait_until(lambda: _lane_pending(handle) == 1)
+            threads.append(threading.Thread(target=checkin))
+            threads[1].start()
+            _wait_until(lambda: handle.server.batcher_stats.flushes_mutation == 1)
+            gate.release()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            stats = handle.server.batcher_stats
+        finally:
+            handle.stop()
+        assert outcome["query"]["found"] is True
+        assert outcome["checkin"]["applied"] is True
+        assert stats.batches_dispatched == stats.flushes_mutation == 1
+        assert stats.flushes_idle == 0
 
 
 class TestBatchEndpoint:
@@ -314,6 +443,31 @@ class TestProtocolRobustness:
             raw = self._raw(server, b"GET /healthz HTTP/1.1\r\n%s\r\n%s" % (headers, body))
             assert raw.startswith(b"HTTP/1.1 200"), raw[:200]
 
+    def test_repeated_header_lines_count_against_the_limit(self, server):
+        """The bound is on header lines, so one repeated name cannot stream forever."""
+        for lines, status in ((MAX_HEADER_COUNT, b"200"), (MAX_HEADER_COUNT + 1, b"431")):
+            repeats = b"X-Repeat: 1\r\n" * lines
+            raw = self._raw(server, b"GET /healthz HTTP/1.1\r\n%s\r\n" % repeats)
+            assert raw.startswith(b"HTTP/1.1 " + status), (lines, raw[:200])
+
+    def test_response_reader_counts_repeated_header_lines(self):
+        """The coordinator's reader of backend replies has the same bound."""
+
+        async def read(lines):
+            reader = asyncio.StreamReader()
+            reader.feed_data(
+                b"HTTP/1.1 200 OK\r\n"
+                + b"X-Repeat: 1\r\n" * (lines - 1)
+                + b"Content-Length: 0\r\n\r\n"
+            )
+            reader.feed_eof()
+            return await read_response(reader, max_body_bytes=1024)
+
+        assert asyncio.run(read(MAX_HEADER_COUNT))[0] == 200
+        with pytest.raises(HttpError) as excinfo:
+            asyncio.run(read(MAX_HEADER_COUNT + 1))
+        assert excinfo.value.status == 502
+
     def test_oversized_body_is_a_413(self, base_graph):
         handle = _serve(base_graph, max_body_bytes=64)
         try:
@@ -366,6 +520,7 @@ class TestObservability:
         assert stats["batcher"]["queries_coalesced"] == 3
         assert stats["engine"]["queries_served"] == 3
         assert stats["config"]["max_batch_size"] == 32
+        assert "max_linger_ms" not in stats["config"]
 
 
 class TestMutations:
@@ -417,30 +572,41 @@ class TestMutations:
     def test_mutation_during_inflight_batch_preserves_arrival_order(
         self, base_graph, reference
     ):
-        """A check-in racing a lingering micro-batch must behave serially.
+        """A check-in racing a pending micro-batch must behave serially.
 
-        The first query is sent on one connection and deliberately left to
-        linger (300 ms); the check-in arrives mid-linger on another
-        connection.  The single-writer barrier must flush the pending batch
-        *before* the mutation, so the first answer reflects the
-        pre-mutation graph and a follow-up query the post-mutation graph —
-        exactly the serial replay of the same arrival order.
+        The writer is held busy, so the first query, sent on one
+        connection, waits in its pending group; the check-in arrives on
+        another connection while it waits.  The single-writer barrier must
+        flush the pending batch *before* the mutation, so the first answer
+        reflects the pre-mutation graph and a follow-up query the
+        post-mutation graph — exactly the serial replay of the same
+        arrival order.
         """
         label = _eligible_labels(reference, 1)[0]
         vertex = base_graph.index_of(label)
-        handle = _serve(base_graph, max_linger_ms=300.0)
+        handle = _serve(base_graph)
         outcome = {}
 
-        def lingering_query():
+        def pending_query():
             with SACClient(handle.host, handle.port) as mine:
                 outcome["first"] = mine.query(label, K, params=EPS)
 
+        def checkin():
+            with SACClient(handle.host, handle.port) as mine:
+                mine.checkin(label, 0.99, 0.99)
+
         try:
-            racer = threading.Thread(target=lingering_query)
+            gate = _WriterGate(handle)
+            racer = threading.Thread(target=pending_query)
             racer.start()
-            time.sleep(0.1)  # let the query join the pending micro-batch
+            _wait_until(lambda: _lane_pending(handle) == 1)
+            writer = threading.Thread(target=checkin)
+            writer.start()
+            _wait_until(lambda: handle.server.batcher_stats.flushes_mutation == 1)
+            gate.release()
+            writer.join(timeout=10)
+            assert not writer.is_alive()
             with SACClient(handle.host, handle.port) as client:
-                client.checkin(label, 0.99, 0.99)
                 outcome["second"] = client.query(label, K, params=EPS)
             racer.join(timeout=10)
             assert not racer.is_alive()
@@ -463,7 +629,7 @@ class TestMutations:
 
     def test_mutations_on_static_engine_are_a_400(self, base_graph):
         service = SACService(engine=QueryEngine(base_graph))
-        handle = start_in_thread(service, ServerConfig(port=0, max_linger_ms=2.0))
+        handle = start_in_thread(service, ServerConfig(port=0))
         try:
             with SACClient(handle.host, handle.port) as client:
                 assert client.healthz()["incremental"] is False
@@ -520,17 +686,24 @@ class TestGracefulShutdown:
     def test_drain_answers_pending_lingering_queries(self, base_graph, reference):
         label = _eligible_labels(reference, 1)[0]
         vertex = base_graph.index_of(label)
-        handle = _serve(base_graph, max_linger_ms=2000.0)
+        handle = _serve(base_graph)
         outcome = {}
 
-        def lingering_query():
+        def pending_query():
             with SACClient(handle.host, handle.port) as mine:
                 outcome["response"] = mine.query(label, K, params=EPS)
 
-        racer = threading.Thread(target=lingering_query)
+        gate = _WriterGate(handle)
+        racer = threading.Thread(target=pending_query)
         racer.start()
-        time.sleep(0.15)  # the query is now lingering, far from its deadline
-        handle.stop()  # drain must flush and answer it, not strand it
+        _wait_until(lambda: _lane_pending(handle) == 1)  # waiting behind the gate
+        # Drain must flush and answer it, not strand it.
+        stopper = threading.Thread(target=handle.stop)
+        stopper.start()
+        _wait_until(lambda: handle.server.batcher_stats.flushes_drain == 1)
+        gate.release()
+        stopper.join(timeout=30)
+        assert not stopper.is_alive()
         racer.join(timeout=10)
         assert not racer.is_alive()
         expected = _expected(base_graph, reference.search(vertex, K, **EPS))
@@ -627,10 +800,9 @@ class TestSloServing:
 
     def test_lane_full_429_carries_retry_after(self, base_graph, reference):
         label = _eligible_labels(reference, 1)[0]
-        handle = _serve(
-            base_graph, max_queue_depth=1, max_linger_ms=10_000.0, retry_after_seconds=3.0
-        )
+        handle = _serve(base_graph, max_queue_depth=1, retry_after_seconds=3.0)
         held = []
+        gate = _WriterGate(handle)
         try:
             with SACClient(handle.host, handle.port) as client:
                 for kwargs in ({}, {"deadline_ms": 100.0}):  # both lanes
@@ -643,6 +815,7 @@ class TestSloServing:
             assert stats["slo"]["lanes"]["besteffort"]["rejected"] == 1
             assert stats["slo"]["lanes"]["deadline"]["rejected"] == 1
         finally:
+            gate.release()
             handle.stop()
             for thread in held:
                 thread.join(timeout=10)
@@ -652,35 +825,50 @@ class TestSloServing:
     ):
         """Lane isolation: deadline traffic rides through best-effort overload."""
         label = _eligible_labels(reference, 1)[0]
-        handle = _serve(base_graph, max_queue_depth=1, max_linger_ms=2000.0)
+        handle = _serve(base_graph, max_queue_depth=1)
         outcome = {}
 
-        def lingering_besteffort():
+        def pending_besteffort():
             with SACClient(handle.host, handle.port) as mine:
-                outcome["lingering"] = mine.query(label, K, params=EPS)
+                outcome["pending"] = mine.query(label, K, params=EPS)
 
+        def deadline_query():
+            with SACClient(handle.host, handle.port) as mine:
+                outcome["deadline"] = mine.query(label, K, deadline_ms=10_000.0)
+
+        gate = _WriterGate(handle)
         try:
-            racer = threading.Thread(target=lingering_besteffort)
+            racer = threading.Thread(target=pending_besteffort)
             racer.start()
-            time.sleep(0.15)  # the best-effort lane is now at its depth limit
+            # The best-effort lane is now at its depth limit.
+            _wait_until(lambda: _lane_pending(handle) == 1)
             with SACClient(handle.host, handle.port) as client:
                 with pytest.raises(ServerError) as excinfo:
                     client.query(label, K)  # best-effort: refused
                 assert excinfo.value.status == 429
-                deadline_answer = client.query(label, K, deadline_ms=10_000.0)
+            # Deadline traffic is admitted while the best-effort lane is full.
+            rider = threading.Thread(target=deadline_query)
+            rider.start()
+            _wait_until(lambda: _lane_pending(handle, "deadline") == 1)
+            assert _lane_pending(handle) == 1
+            gate.release()
+            rider.join(timeout=10)
+            assert not rider.is_alive()
+            deadline_answer = outcome["deadline"]
             assert deadline_answer["found"] is True
             racer.join(timeout=10)
             assert not racer.is_alive()
         finally:
+            gate.release()
             handle.stop()
-        assert outcome["lingering"]["found"] is True
+        assert outcome["pending"]["found"] is True
 
     def test_drain_under_burst_answers_every_admitted_query(
         self, base_graph, reference
     ):
         """Every query the server admitted must be answered through a drain."""
         labels = _eligible_labels(reference, 8)
-        handle = _serve(base_graph, max_linger_ms=2000.0, slo_enabled=True, warm_ks=(K,))
+        handle = _serve(base_graph, slo_enabled=True, warm_ks=(K,))
         answers = []
         rejected = []
         lock = threading.Lock()
@@ -700,10 +888,20 @@ class TestSloServing:
             for label in labels
             for deadline in (None, 5_000.0)
         ]
+        gate = _WriterGate(handle)
         for thread in burst:
             thread.start()
-        time.sleep(0.2)  # the burst is now lingering in both lanes
-        handle.stop()  # drain must flush and answer all of it
+        # The burst now waits behind the gate in both lanes.
+        _wait_until(
+            lambda: _lane_pending(handle) + _lane_pending(handle, "deadline") == len(burst)
+        )
+        # Drain must flush and answer all of it.
+        stopper = threading.Thread(target=handle.stop)
+        stopper.start()
+        _wait_until(lambda: handle.server.batcher_stats.flushes_drain == 2)
+        gate.release()
+        stopper.join(timeout=30)
+        assert not stopper.is_alive()
         for thread in burst:
             thread.join(timeout=10)
             assert not thread.is_alive()
@@ -747,7 +945,7 @@ class TestMonotonicDeadlineClock:
 
         return start_in_thread(
             service,
-            ServerConfig(port=0, max_linger_ms=2.0, slo_enabled=True, warm_ks=(K,)),
+            ServerConfig(port=0, slo_enabled=True, warm_ks=(K,)),
             server_factory=lambda svc, cfg: SACServer(svc, cfg, clock=clock),
         )
 
@@ -825,11 +1023,9 @@ class TestRetryAfterAgreement:
 
         label = _eligible_labels(reference, 1)[0]
         handle = _serve(
-            base_graph,
-            max_queue_depth=1,
-            max_linger_ms=10_000.0,
-            retry_after_seconds=retry_after_seconds,
+            base_graph, max_queue_depth=1, retry_after_seconds=retry_after_seconds
         )
+        gate = _WriterGate(handle)
         held = _hold_lane_slot(handle, label)
         try:
             connection = http_client.HTTPConnection(
@@ -847,6 +1043,7 @@ class TestRetryAfterAgreement:
             status = response.status
             connection.close()
         finally:
+            gate.release()
             handle.stop()
             held.join(timeout=10)
         return status, header, payload
@@ -948,6 +1145,9 @@ class TestServerConfigValidation:
             ("poll_timeout_ms", math.inf),
             ("retry_after_seconds", -0.5),
             ("drain_timeout_seconds", math.nan),
+            ("subscription_idle_seconds", -1.0),
+            ("subscription_idle_seconds", 0.0),
+            ("subscription_idle_seconds", math.nan),
         ],
     )
     def test_unusable_value_is_refused(self, field, value):
