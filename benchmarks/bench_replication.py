@@ -48,13 +48,9 @@ sys.path.insert(1, str(_here.parent / "src"))  # uninstalled checkout fallback
 from bench_common import write_result
 from repro.datasets.geosocial import brightkite_like
 from repro.engine import IncrementalEngine
-from repro.replication import (
-    CoordinatorConfig,
-    ReplicaServer,
-    start_coordinator_in_thread,
-)
-from repro.server import SACClient, ServerConfig, start_in_thread
+from repro.server import SACClient
 from repro.service import SACService
+from repro.testing.serverharness import Tier, wait_applied
 
 K = 4
 EPS = {"epsilon_f": 0.5}
@@ -76,54 +72,16 @@ def _build_snapshot(root: Path) -> tuple[str, list[int]]:
     return str(store), eligible
 
 
-class _Tier:
+def _tier(store: str, wal_dir: str, max_staleness_lsn: int) -> Tier:
     """Writer + replicas + coordinator over one snapshot, context-managed."""
-
-    def __init__(self, store: str, wal_dir: str, max_staleness_lsn: int):
-        self.writer = start_in_thread(
-            SACService.open(str(store)),
-            ServerConfig(port=0, wal_dir=str(wal_dir), snapshot_path=str(store)),
-        )
-        writer_url = f"http://127.0.0.1:{self.writer.port}"
-        self.replicas = [
-            start_in_thread(
-                SACService.open(str(store)),
-                ServerConfig(port=0, wal_dir=str(wal_dir)),
-                server_factory=lambda svc, cfg: ReplicaServer(
-                    svc, cfg, writer_url=writer_url, poll_interval_ms=5.0
-                ),
-            )
-            for _ in range(NUM_REPLICAS)
-        ]
-        self.coordinator = start_coordinator_in_thread(
-            CoordinatorConfig(
-                port=0,
-                writer=f"127.0.0.1:{self.writer.port}",
-                replicas=tuple(
-                    f"127.0.0.1:{h.port}" for h in self.replicas
-                ),
-                max_staleness_lsn=max_staleness_lsn,
-                health_interval_ms=50.0,
-            )
-        )
-        self.client = SACClient("127.0.0.1", self.coordinator.port)
-
-    def wait_applied(self, lsn: int, timeout: float = 30.0) -> None:
-        deadline = time.perf_counter() + timeout
-        for handle in self.replicas:
-            while handle.server.applied_lsn < lsn:
-                if time.perf_counter() > deadline:
-                    raise RuntimeError(
-                        f"replica stuck at {handle.server.applied_lsn} < {lsn}"
-                    )
-                time.sleep(0.002)
-
-    def close(self) -> None:
-        self.client.close()
-        self.coordinator.stop()
-        for handle in self.replicas:
-            handle.stop()
-        self.writer.stop()
+    return Tier(
+        store,
+        wal_dir,
+        replicas=NUM_REPLICAS,
+        coordinator=True,
+        max_staleness_lsn=max_staleness_lsn,
+        poll_interval_ms=5.0,
+    )
 
 
 class _Oracle:
@@ -190,19 +148,14 @@ def run_bit_identity(
     mismatches = 0
     reads = 0
     with tempfile.TemporaryDirectory(prefix="bench-repl-") as scratch:
-        tier = _Tier(store, str(Path(scratch) / "wal"), max_staleness_lsn=0)
-        try:
+        with _tier(store, str(Path(scratch) / "wal"), 0) as tier, tier.client() as client:
             started = time.perf_counter()
             for step, record in enumerate(trace):
-                sent = tier.client.checkin(
-                    record["user"], record["x"], record["y"]
-                )
+                sent = client.checkin(record["user"], record["x"], record["y"])
                 assert sent["lsn"] == step + 1, sent
                 oracle.apply(record)
                 for vertex in probes:
-                    payload, staleness, elapsed_ms = _query_once(
-                        tier.client, vertex
-                    )
+                    payload, staleness, elapsed_ms = _query_once(client, vertex)
                     latencies.append(elapsed_ms)
                     reads += 1
                     if staleness != 0 or not _matches(
@@ -210,9 +163,7 @@ def run_bit_identity(
                     ):
                         mismatches += 1
             trace_seconds = time.perf_counter() - started
-            routing = tier.client.stats()["routing"]
-        finally:
-            tier.close()
+            routing = client.stats()["routing"]
     return {
         "mutations": mutations,
         "reads": reads,
@@ -238,26 +189,22 @@ def run_staleness_bound(
     violations = 0
     reads = 0
     with tempfile.TemporaryDirectory(prefix="bench-repl-") as scratch:
-        tier = _Tier(
-            store, str(Path(scratch) / "wal"), max_staleness_lsn=bound
-        )
-        try:
+        with _tier(store, str(Path(scratch) / "wal"), bound) as tier, tier.client() as client:
             for step, record in enumerate(trace):
-                tier.client.checkin(record["user"], record["x"], record["y"])
+                client.checkin(record["user"], record["x"], record["y"])
                 # No wait_applied here: replicas are deliberately allowed to
                 # lag so the coordinator's bound check is what's under test.
                 for vertex in probes[: max(1, queries_per_step // 2)]:
-                    _, staleness, _ = _query_once(tier.client, vertex)
+                    _, staleness, _ = _query_once(client, vertex)
                     reads += 1
                     observed_max = max(observed_max, staleness)
                     if staleness > bound:
                         violations += 1
             catchup_started = time.perf_counter()
-            tier.wait_applied(len(trace))
+            for replica in tier.replicas:
+                wait_applied(replica, len(trace), timeout=30.0)
             catchup_seconds = time.perf_counter() - catchup_started
-            routing = tier.client.stats()["routing"]
-        finally:
-            tier.close()
+            routing = client.stats()["routing"]
     return {
         "max_staleness_lsn": bound,
         "reads": reads,

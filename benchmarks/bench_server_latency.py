@@ -48,7 +48,7 @@ from bench_common import write_result
 from repro.datasets.registry import load_dataset
 from repro.engine import QueryEngine
 from repro.experiments.queries import select_query_vertices
-from repro.server import SACClient, ServerConfig, start_in_thread
+from repro.server import SACClient, SACServer, ServerConfig, start_in_thread
 from repro.server.client import parallel_queries
 from repro.service import SACService
 
@@ -124,7 +124,7 @@ def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, th
 
         service = SACService(graph, use_cache=False)
         service.warm(k)  # both passes start from warm engine artifacts
-        handle = start_in_thread(service, ServerConfig(port=0))
+        handle = start_in_thread(SACServer(service, ServerConfig(port=0)))
         try:
             address = (handle.host, handle.port)
             concurrent_responses, concurrent_time = _time_concurrent(address, jobs, threads)

@@ -54,7 +54,7 @@ sys.path.insert(1, str(_here.parent / "src"))  # uninstalled checkout fallback
 from bench_common import write_result
 from repro.datasets.registry import load_dataset
 from repro.engine import IncrementalEngine, QueryEngine
-from repro.server import SACClient, ServerConfig, start_in_thread
+from repro.server import SACClient, SACServer, ServerConfig, start_in_thread
 from repro.service import SACService
 
 ZIPF_S = 1.1
@@ -168,17 +168,15 @@ def _serve(graph, *, k, slo):
         engine=IncrementalEngine(graph.mutable_copy()), use_cache=False
     )
     service.warm(k)
-    return start_in_thread(
-        service,
-        ServerConfig(
-            port=0,
-            warm_ks=(k,),
-            slo_enabled=slo,
-            # Depth far beyond the trace so admission control never rejects:
-            # this benchmark measures the ladder, not load shedding.
-            max_queue_depth=1_000_000,
-        ),
+    config = ServerConfig(
+        port=0,
+        warm_ks=(k,),
+        slo_enabled=slo,
+        # Depth far beyond the trace so admission control never rejects:
+        # this benchmark measures the ladder, not load shedding.
+        max_queue_depth=1_000_000,
     )
+    return start_in_thread(SACServer(service, config))
 
 
 def _row(mode, events, latencies_ms, hits, errors):

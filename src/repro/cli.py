@@ -647,10 +647,8 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
     return 0 if answered else 1
 
 
-def _serve_coordinator(args: argparse.Namespace) -> int:
-    """``serve --role coordinator``: run the replication tier's router."""
-    import asyncio
-
+def _coordinator_server(args: argparse.Namespace):
+    """``serve --role coordinator``: the tier's router and its start line."""
     from repro.replication import Coordinator, CoordinatorConfig
 
     if not args.writer_addr:
@@ -671,34 +669,19 @@ def _serve_coordinator(args: argparse.Namespace) -> int:
         health_interval_ms=args.health_interval_ms,
         max_body_bytes=args.max_body_bytes,
     )
-
-    async def _run() -> None:
-        coordinator = Coordinator(config)
-        await coordinator.start()
-        print(
-            f"coordinating on {coordinator.url}: writer {config.writer}, "
-            f"{len(replicas)} replica(s), max staleness {config.max_staleness_lsn} "
-            f"LSN(s)",
-            flush=True,
-        )
-        await coordinator.serve_forever()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:  # pragma: no cover - signal path exercised in CI
-        pass
-    print("server stopped", flush=True)
-    return 0
+    coordinator = Coordinator(config)
+    return coordinator, lambda: (
+        f"coordinating on {coordinator.url}: writer {config.writer}, "
+        f"{len(replicas)} replica(s), max staleness {config.max_staleness_lsn} "
+        f"LSN(s)"
+    )
 
 
-def _command_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
+def _daemon_server(args: argparse.Namespace):
+    """``serve --role single|writer|replica``: the daemon and its start line."""
     from repro.server import SACServer, ServerConfig
     from repro.service import SACService
 
-    if args.role == "coordinator":
-        return _serve_coordinator(args)
     if args.role in ("writer", "replica") and not args.wal_dir:
         raise InvalidParameterError(f"--role {args.role} requires --wal-dir")
     if args.role == "replica" and args.static:
@@ -743,32 +726,40 @@ def _command_serve(args: argparse.Namespace) -> int:
         snapshot_lsn=snapshot_lsn,
         poll_timeout_ms=args.poll_timeout_ms,
         subscription_backlog=args.subscription_backlog,
+        # Only 0 means "no idle GC"; the config refuses other unusable values.
         subscription_idle_seconds=(
-            args.subscription_idle_seconds
-            if args.subscription_idle_seconds > 0
-            else None
+            None if args.subscription_idle_seconds == 0 else args.subscription_idle_seconds
         ),
     )
+    if args.role == "replica":
+        from repro.replication import ReplicaServer
+
+        server = ReplicaServer(
+            service,
+            config,
+            writer_url=args.writer_url,
+            poll_interval_ms=args.poll_interval_ms,
+        )
+    else:
+        server = SACServer(service, config)
+    role = f", role {server.role}" if server.role != "single" else ""
+    return server, lambda: (
+        f"serving {engine.graph.num_vertices} vertices on {server.url} "
+        f"(micro-batch <= {config.max_batch_size}{role})"
+    )
+
+
+def _command_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
+    if args.role == "coordinator":
+        server, start_line = _coordinator_server(args)
+    else:
+        server, start_line = _daemon_server(args)
 
     async def _run() -> None:
-        if args.role == "replica":
-            from repro.replication import ReplicaServer
-
-            server = ReplicaServer(
-                service,
-                config,
-                writer_url=args.writer_url,
-                poll_interval_ms=args.poll_interval_ms,
-            )
-        else:
-            server = SACServer(service, config)
         await server.start()
-        role = f", role {server.role}" if server.role != "single" else ""
-        print(
-            f"serving {engine.graph.num_vertices} vertices on {server.url} "
-            f"(micro-batch <= {config.max_batch_size}{role})",
-            flush=True,
-        )
+        print(start_line(), flush=True)
         await server.serve_forever()
 
     try:

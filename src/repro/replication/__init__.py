@@ -22,8 +22,9 @@ contract, by separating three roles that share two artifacts (one
   **bit-identical** to the writer at every LSN — same answers, same cache
   validity.  A replica that falls behind a compaction resyncs from the
   fresh snapshot and resumes tailing.
-* **coordinator** — :class:`Coordinator`: a thin stdlib HTTP proxy that
-  routes mutations to the writer and reads round-robin over replicas whose
+* **coordinator** — :class:`Coordinator`: a thin stdlib HTTP proxy, on the
+  daemon's own listener (:class:`repro.server.HttpServer`), that routes
+  mutations to the writer and reads round-robin over replicas whose
   replay lag is within ``max_staleness_lsn`` of the writer's last durable
   LSN (lagging replicas are skipped — the read lands on the writer rather
   than waiting), probes ``/healthz`` to eject dead replicas and readmit
@@ -31,24 +32,18 @@ contract, by separating three roles that share two artifacts (one
   and ``X-Staleness-LSN``.
 
 ``repro-sac serve --role writer|replica|coordinator`` is the CLI front
-end; see the Replication section of ``docs/serving.md`` for the operator
-guide and ``benchmarks/bench_replication.py`` for the bit-identity and
+end and :func:`repro.server.start_in_thread` runs any role in process;
+see the Replication section of ``docs/serving.md`` for the operator guide
+and ``benchmarks/bench_replication.py`` for the bit-identity and
 staleness-bound measurements.
 """
 
-from repro.replication.coordinator import (
-    Coordinator,
-    CoordinatorConfig,
-    CoordinatorHandle,
-    start_coordinator_in_thread,
-)
+from repro.replication.coordinator import Coordinator, CoordinatorConfig
 from repro.replication.replica import ReplicaServer, ReplicaStats
 
 __all__ = [
     "Coordinator",
     "CoordinatorConfig",
-    "CoordinatorHandle",
     "ReplicaServer",
     "ReplicaStats",
-    "start_coordinator_in_thread",
 ]

@@ -1,7 +1,8 @@
 """The replication tier's front door: route reads, serialise writes.
 
 A :class:`Coordinator` is a thin asyncio proxy over one writer and N
-replicas (:mod:`repro.replication`).  It holds no graph, no engine, and no
+replicas (:mod:`repro.replication`), running on the daemon's listener
+(:class:`repro.server.HttpServer`).  It holds no graph, no engine, and no
 cache — only routing state: which backends are alive (``/healthz``
 probes), each replica's ``applied_lsn``, and the writer's last durable LSN
 (tracked from mutation responses, refreshed by the prober).  Three rules
@@ -28,23 +29,22 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import signal
 import sys
-import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
+from repro.server.daemon import HttpServer
 from repro.server.http import (
     ConnectionClosed,
     HttpError,
     Request,
     encode_request,
-    encode_response,
     error_payload,
-    read_request,
     read_response,
-    write_response,
 )
+
+#: What routing answers: (status, own JSON payload or proxied body, headers).
+Answer = Tuple[int, Union[dict, bytes], Dict[str, str]]
 
 #: Paths that mutate engine state — always routed to the writer.
 WRITE_PATHS = frozenset({"/checkin", "/edge", "/compact"})
@@ -126,11 +126,11 @@ class _BackendError(Exception):
     """One backend failed to take (or finish) a proxied request."""
 
 
-class Coordinator:
+class Coordinator(HttpServer):
     """Route client traffic across the writer and its replicas."""
 
     def __init__(self, config: Optional[CoordinatorConfig] = None) -> None:
-        self.config = config or CoordinatorConfig()
+        super().__init__(config or CoordinatorConfig())
         self.writer = BackendState(address=self.config.writer)
         self.replicas: List[BackendState] = [
             BackendState(address=address) for address in self.config.replicas
@@ -142,67 +142,20 @@ class Coordinator:
         #: log (mutations are acknowledged only after the append).
         self.writer_lsn = 0
         self._rr_next = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._health_task: Optional[asyncio.Task] = None
-        self._connections: set = set()
-        self._draining = False
-        self._stopped: Optional[asyncio.Event] = None
 
     # -------------------------------------------------------------- lifecycle
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` after :meth:`start`)."""
-        if self._server is None:
-            return self.config.port
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL of the listening coordinator."""
-        return f"http://{self.config.host}:{self.port}"
-
     async def start(self) -> None:
-        """Bind the listen socket and start the health prober."""
-        self._loop = asyncio.get_running_loop()
-        self._stopped = asyncio.Event()
-        self._health_task = self._loop.create_task(self._health_loop())
-        self._server = await asyncio.start_server(
-            self._on_connection, host=self.config.host, port=self.config.port
-        )
+        """Start the health prober, then bind the listen socket."""
+        self._health_task = asyncio.create_task(self._health_loop())
+        await super().start()
 
-    async def serve_forever(self) -> None:
-        """Run until :meth:`stop`; installs SIGTERM/SIGINT handlers."""
-        if self._server is None:
-            await self.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError, RuntimeError):
-                loop.add_signal_handler(signum, lambda: loop.create_task(self.stop()))
-        await self._stopped.wait()
-
-    async def stop(self) -> None:
-        """Stop accepting, cancel the prober, close open connections."""
-        if self._draining:
-            await self._stopped.wait()
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _drain(self) -> None:
+        """Cancel the health prober (connections are closed by :meth:`stop`)."""
         if self._health_task is not None:
             self._health_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._health_task
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        self._stopped.set()
-
-    async def wait_stopped(self) -> None:
-        """Block until :meth:`stop` has completed."""
-        await self._stopped.wait()
 
     # -------------------------------------------------------------- backends
     async def _backend_roundtrip(
@@ -307,32 +260,31 @@ class Coordinator:
         return None
 
     # -------------------------------------------------------------- routing
-    async def _route(
-        self, request: Request
-    ) -> Tuple[int, dict, Dict[str, str], Optional[bytes]]:
-        """Decide and execute one request; returns (status, payload, headers, raw).
+    async def _dispatch(self, request: Request) -> Answer:
+        """Decide and execute one request: ``(status, payload, headers)``.
 
-        ``raw`` is the proxied backend body (already JSON bytes) when the
-        request was proxied — passed through untouched so proxying never
-        re-interprets payloads; ``payload`` is used when the coordinator
-        answers from its own state (``raw`` is ``None``).
+        A proxied reply's ``payload`` is the backend's body as ``bytes``
+        (already JSON), passed through untouched so proxying never
+        re-interprets payloads; the coordinator's own answers are dicts.
         """
-        if request.method == "GET" and request.path == "/healthz":
-            return 200, self._healthz_payload(), {}, None
-        if request.method == "GET" and request.path == "/stats":
-            return 200, self._stats_payload(), {}, None
-        if request.method == "POST" and request.path in WRITE_PATHS:
-            return await self._route_mutation(request)
-        if request.method == "POST" and request.path in READ_PATHS:
-            return await self._route_read(request)
-        status, payload = error_payload(
-            404, f"coordinator does not route {request.method} {request.path}"
+        try:
+            if request.method == "GET" and request.path == "/healthz":
+                return 200, self._healthz_payload(), {}
+            if request.method == "GET" and request.path == "/stats":
+                return 200, self._stats_payload(), {}
+            if request.method == "POST" and request.path in WRITE_PATHS:
+                return await self._route_mutation(request)
+            if request.method == "POST" and request.path in READ_PATHS:
+                return await self._route_read(request)
+        except Exception as error:  # noqa: BLE001 - the proxy must survive
+            print(f"coordinator: routing error: {error!r}", file=sys.stderr)
+            return (*error_payload(500, "internal coordinator error"), {})
+        return (
+            *error_payload(404, f"coordinator does not route {request.method} {request.path}"),
+            {},
         )
-        return status, payload, {}, None
 
-    async def _route_mutation(
-        self, request: Request
-    ) -> Tuple[int, dict, Dict[str, str], Optional[bytes]]:
+    async def _route_mutation(self, request: Request) -> Answer:
         """Proxy a mutation to the writer; track its acknowledged LSN."""
         try:
             status, _, body = await self._backend_roundtrip(
@@ -341,8 +293,7 @@ class Coordinator:
         except _BackendError as error:
             self.writer.failures += 1
             self.writer.healthy = False
-            status, payload = error_payload(502, f"writer unavailable: {error}")
-            return status, payload, {}, None
+            return (*error_payload(502, f"writer unavailable: {error}"), {})
         self.writer.healthy = True
         self.stats.mutations_proxied += 1
         if status == 200:
@@ -350,12 +301,9 @@ class Coordinator:
                 lsn = json.loads(body.decode("utf-8")).get("lsn")
                 if isinstance(lsn, int):
                     self.writer_lsn = max(self.writer_lsn, lsn)
-        headers = {"X-Served-By": self.writer.address}
-        return status, {}, headers, body
+        return status, body, {"X-Served-By": self.writer.address}
 
-    async def _route_read(
-        self, request: Request
-    ) -> Tuple[int, dict, Dict[str, str], Optional[bytes]]:
+    async def _route_read(self, request: Request) -> Answer:
         """Serve a read from a fresh replica, failing over, else the writer."""
         attempts = len(self.replicas)
         for _ in range(attempts):
@@ -385,7 +333,7 @@ class Coordinator:
                 "X-Served-By": replica.address,
                 "X-Staleness-LSN": str(staleness),
             }
-            return status, {}, headers, body
+            return status, body, headers
 
         # No replica is fresh and alive — bounded staleness redirects the
         # read to the writer rather than waiting out the lag.
@@ -396,17 +344,19 @@ class Coordinator:
         except _BackendError as error:
             self.writer.failures += 1
             self.writer.healthy = False
-            status, payload = error_payload(
-                502, f"no fresh replica and the writer is unavailable: {error}"
+            return (
+                *error_payload(
+                    502, f"no fresh replica and the writer is unavailable: {error}"
+                ),
+                {},
             )
-            return status, payload, {}, None
         self.stats.reads_proxied += 1
         self.stats.reads_to_writer += 1
         self.stats.served_by[self.writer.address] = (
             self.stats.served_by.get(self.writer.address, 0) + 1
         )
         headers = {"X-Served-By": self.writer.address, "X-Staleness-LSN": "0"}
-        return status, {}, headers, body
+        return status, body, headers
 
     # ------------------------------------------------------------ own payloads
     def _healthz_payload(self) -> dict:
@@ -447,161 +397,3 @@ class Coordinator:
             },
             "tier": self._healthz_payload(),
         }
-
-    # ------------------------------------------------------------ connections
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._connections.add(task)
-        try:
-            await self._connection_loop(reader, writer)
-        except asyncio.CancelledError:
-            pass
-        except (ConnectionError, TimeoutError):
-            pass
-        finally:
-            self._connections.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _connection_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one keep-alive client connection until EOF or drain."""
-        while True:
-            try:
-                request = await read_request(
-                    reader, max_body_bytes=self.config.max_body_bytes
-                )
-            except ConnectionClosed:
-                return
-            except HttpError as error:
-                with contextlib.suppress(ConnectionError):
-                    await write_response(
-                        writer,
-                        *error_payload(error.status, error.message),
-                        keep_alive=False,
-                    )
-                return
-            try:
-                status, payload, headers, raw = await self._route(request)
-            except Exception as error:  # noqa: BLE001 - the proxy must survive
-                print(f"coordinator: routing error: {error!r}", file=sys.stderr)
-                status, payload = error_payload(500, "internal coordinator error")
-                headers, raw = {}, None
-            keep_alive = request.keep_alive and not self._draining
-            try:
-                if raw is not None:
-                    writer.write(_reframe(status, raw, headers, keep_alive=keep_alive))
-                    await writer.drain()
-                else:
-                    await write_response(
-                        writer,
-                        status,
-                        payload,
-                        keep_alive=keep_alive,
-                        extra_headers=headers or None,
-                    )
-            except ConnectionError:
-                return
-            if not keep_alive:
-                return
-
-
-def _reframe(
-    status: int, body: bytes, headers: Dict[str, str], *, keep_alive: bool
-) -> bytes:
-    """Wrap a proxied backend body in a fresh response frame.
-
-    The backend's JSON body is passed through byte-for-byte; only the
-    framing (status line, lengths, connection policy) and the coordinator's
-    routing headers are new.
-    """
-    from repro.server.http import REASONS
-
-    lines = [
-        f"HTTP/1.1 {status} {REASONS.get(status, 'Unknown')}",
-        "Content-Type: application/json",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    for name, value in headers.items():
-        lines.append(f"{name}: {value}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
-class CoordinatorHandle:
-    """Thread-safe handle to a coordinator running in a background thread."""
-
-    def __init__(
-        self,
-        coordinator: Coordinator,
-        loop: asyncio.AbstractEventLoop,
-        thread: threading.Thread,
-    ) -> None:
-        self.coordinator = coordinator
-        self._loop = loop
-        self._thread = thread
-
-    @property
-    def host(self) -> str:
-        """Listen host of the running coordinator."""
-        return self.coordinator.config.host
-
-    @property
-    def port(self) -> int:
-        """Bound port of the running coordinator."""
-        return self.coordinator.port
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Stop the coordinator and join its thread."""
-        if self._thread.is_alive():
-            asyncio.run_coroutine_threadsafe(
-                self.coordinator.stop(), self._loop
-            ).result(timeout)
-        self._thread.join(timeout)
-
-    def __enter__(self) -> "CoordinatorHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-def start_coordinator_in_thread(
-    config: Optional[CoordinatorConfig] = None,
-) -> CoordinatorHandle:
-    """Run a :class:`Coordinator` in a daemon thread; returns when listening.
-
-    The in-process harness the replication tests and benchmark use —
-    symmetric with :func:`repro.server.start_in_thread`.
-    """
-    config = config or CoordinatorConfig(port=0)
-    started = threading.Event()
-    box: dict = {}
-
-    async def _run() -> None:
-        coordinator = Coordinator(config)
-        await coordinator.start()
-        box["coordinator"] = coordinator
-        box["loop"] = asyncio.get_running_loop()
-        started.set()
-        await coordinator.wait_stopped()
-
-    def _runner() -> None:
-        try:
-            asyncio.run(_run())
-        except Exception as error:  # noqa: BLE001 - surfaced via started timeout
-            box["error"] = error
-            started.set()
-
-    thread = threading.Thread(target=_runner, name="sac-coordinator", daemon=True)
-    thread.start()
-    started.wait(timeout=30.0)
-    if "error" in box:
-        raise box["error"]
-    if "coordinator" not in box:
-        raise RuntimeError("coordinator failed to start within 30s")
-    return CoordinatorHandle(box["coordinator"], box["loop"], thread)

@@ -176,15 +176,9 @@ class ReplicaServer(SACServer):
         """
 
         def run() -> int:
-            total = 0
-            while True:
-                records = self._cursor.poll(max_records=256)
-                if not records:
-                    return total
-                for record in records:
-                    self.service.apply_record(record)
-                    self._replayed = int(record["lsn"])
-                    total += 1
+            replayed = self._replay(self._cursor)
+            self._replayed = self._cursor.next_lsn - 1
+            return replayed
 
         applied = await self._run_mutation(run)
         self._applied = self._replayed

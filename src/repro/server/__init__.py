@@ -12,7 +12,10 @@ graceful drain.  **Standing queries** ride the same daemon: ``/subscribe``
 registers a continuous query with the
 :class:`repro.service.subscriptions.SubscriptionRegistry` and deltas are
 collected by long-poll or chunked streaming.  :class:`SACClient` is the
-stdlib client; ``repro-sac serve`` the CLI front end.
+stdlib client; ``repro-sac serve`` the CLI front end.  The daemon runs on
+:class:`HttpServer` — the listener, keep-alive loop, signal and drain
+lifecycle it shares with the replication tier's servers — and
+:func:`start_in_thread` runs any of those servers in a background thread.
 
 Endpoints: ``POST /query``, ``POST /batch``, ``POST /checkin``,
 ``POST /edge``, ``POST /compact``, ``POST /subscribe``,
@@ -24,6 +27,7 @@ from repro.server.client import SACClient, ServerError
 from repro.server.daemon import (
     BatcherStats,
     EndpointStats,
+    HttpServer,
     SACServer,
     ServerConfig,
     ServerHandle,
@@ -31,6 +35,7 @@ from repro.server.daemon import (
 )
 
 __all__ = [
+    "HttpServer",
     "SACServer",
     "ServerConfig",
     "ServerHandle",

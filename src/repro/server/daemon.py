@@ -66,7 +66,7 @@ import sys
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs
 
 from repro.core.searcher import ALGORITHMS
@@ -419,7 +419,157 @@ class _JobQueue:
         return self._unfinished == 0
 
 
-class SACServer:
+class HttpServer:
+    """The listener every server here runs on: bind, keep-alive loop, signals, stop.
+
+    A subclass answers requests in :meth:`_dispatch`, prepares its own
+    state in :meth:`start` before calling ``super().start()`` (which binds
+    the listen socket), and finishes its in-flight work in :meth:`_drain`.
+    :class:`SACServer`, :class:`repro.replication.ReplicaServer` and
+    :class:`repro.replication.Coordinator` all run on it, so
+    :func:`start_in_thread` and ``repro-sac serve`` run any of them.
+
+    ``config`` needs ``host``, ``port`` and ``max_body_bytes``.  Every
+    asyncio primitive is created in :meth:`start`, so a server can be built
+    outside the event loop that later runs it.
+    """
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: set = set()
+        self._draining = False
+        self._stopped: Optional[asyncio.Event] = None
+
+    @property
+    def port(self) -> int:
+        """The bound port (resolves ``port=0`` after :meth:`start`)."""
+        if self._server is None:
+            return self.config.port
+        return self._server.sockets[0].getsockname()[1]
+
+    @property
+    def url(self) -> str:
+        """Base URL of the listening server."""
+        return f"http://{self.config.host}:{self.port}"
+
+    async def start(self) -> None:
+        """Bind the listen socket."""
+        self._stopped = asyncio.Event()
+        self._server = await asyncio.start_server(
+            self._on_connection, host=self.config.host, port=self.config.port
+        )
+
+    def _signal_actions(self) -> List[Tuple[int, Callable[[], Awaitable[object]]]]:
+        """The ``(signal, coroutine function)`` pairs :meth:`serve_forever` installs."""
+        return [(signal.SIGTERM, self.stop), (signal.SIGINT, self.stop)]
+
+    async def serve_forever(self) -> None:
+        """Run until :meth:`stop` — the CLI entry point installs signals here.
+
+        ``SIGTERM``/``SIGINT`` trigger a graceful drain-and-stop; subclasses
+        add signals through :meth:`_signal_actions`.
+        """
+        if self._server is None:
+            await self.start()
+        loop = asyncio.get_running_loop()
+        for signum, action in self._signal_actions():
+            with contextlib.suppress(NotImplementedError, RuntimeError):
+                loop.add_signal_handler(
+                    signum, lambda action=action: loop.create_task(action())
+                )
+        await self._stopped.wait()
+
+    async def stop(self) -> None:
+        """Stop accepting, let :meth:`_drain` finish the work, close connections."""
+        if self._draining:
+            await self._stopped.wait()
+            return
+        self._draining = True
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        await self._drain()
+        for task in list(self._connections):
+            task.cancel()
+        if self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
+        self._stopped.set()
+
+    async def _drain(self) -> None:
+        """Finish in-flight work after the listener closed (subclass hook)."""
+
+    async def wait_stopped(self) -> None:
+        """Block until :meth:`stop` has completed."""
+        await self._stopped.wait()
+
+    async def _dispatch(
+        self, request: Request
+    ) -> Tuple[int, Union[dict, bytes, "_SubscriptionStream"], Dict[str, str]]:
+        """Answer one request: ``(status, payload, extra response headers)``.
+
+        ``payload`` is a JSON object, or a ``bytes`` body that is already
+        JSON.  Exceptions must not escape: the connection outlives them.
+        """
+        raise NotImplementedError
+
+    async def _on_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
+        try:
+            await self._connection_loop(reader, writer)
+        except asyncio.CancelledError:
+            pass
+        except (ConnectionError, TimeoutError):
+            pass
+        finally:
+            self._connections.discard(task)
+            writer.close()
+            with contextlib.suppress(Exception):
+                await writer.wait_closed()
+
+    async def _connection_loop(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        """Serve one keep-alive connection until EOF, error, or drain.
+
+        ``read_request`` and ``write_response`` are looked up as this
+        module's globals on every call, so a tracer that rebinds them sees
+        every request of every server kind.
+        """
+        while True:
+            try:
+                request = await read_request(reader, max_body_bytes=self.config.max_body_bytes)
+            except ConnectionClosed:
+                return
+            except HttpError as error:
+                # Framing is broken (or the body was refused): answer and
+                # close — the stream position can no longer be trusted.
+                with contextlib.suppress(ConnectionError):
+                    await write_response(
+                        writer, *error_payload(error.status, error.message), keep_alive=False
+                    )
+                return
+            status, payload, headers = await self._dispatch(request)
+            if isinstance(payload, _SubscriptionStream):
+                # The subscription switches this socket to chunked
+                # streaming; the connection is dedicated to it from here on.
+                await self._stream_subscription(writer, payload)
+                return
+            keep_alive = request.keep_alive and not self._draining
+            try:
+                await write_response(
+                    writer,
+                    status,
+                    payload,
+                    keep_alive=keep_alive,
+                    extra_headers=headers or None,
+                )
+            except ConnectionError:
+                return
+            if not keep_alive:
+                return
+
+
+class SACServer(HttpServer):
     """Serve SAC queries, batches, and mutations over asyncio streams.
 
     Parameters
@@ -453,8 +603,8 @@ class SACServer:
         *,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
+        super().__init__(config or ServerConfig())
         self.service = service
-        self.config = config or ServerConfig()
         self.endpoint_stats: Dict[str, EndpointStats] = {}
         self.batcher_stats = BatcherStats()
         # All timing below runs on this one monotonic clock — deadlines,
@@ -463,7 +613,6 @@ class SACServer:
         self._clock: Callable[[], float] = clock or time.perf_counter
         self._monotonic_start = self._clock()
         self._wal: Optional[WriteAheadLog] = None
-        self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         # The asyncio primitives are created inside start() so construction
         # never touches an event loop (Python 3.9 binds them at creation).
@@ -473,11 +622,8 @@ class SACServer:
         # Admitted-but-unanswered query occurrences per lane — the depth the
         # admission controller compares against max_queue_depth.
         self._lane_pending: Dict[str, int] = {LANE_DEADLINE: 0, LANE_BESTEFFORT: 0}
-        self._connections: set = set()
         self._inflight = 0
         self._idle: Optional[asyncio.Event] = None
-        self._draining = False
-        self._stopped: Optional[asyncio.Event] = None
         self._engine_thread = None  # created lazily inside the loop
         # Standing queries: the registry re-evaluates on the engine thread
         # (inside the write barrier); pollers park on per-subscription
@@ -551,27 +697,14 @@ class SACServer:
         return self._wal.append(record)
 
     # ---------------------------------------------------------------- lifecycle
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` after :meth:`start`)."""
-        if self._server is None:
-            return self.config.port
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL of the listening server."""
-        return f"http://{self.config.host}:{self.port}"
-
     async def start(self) -> None:
-        """Bind the listen socket, start the writer task, warm the engine."""
+        """Start the writer task, warm the engine, then bind the listen socket."""
         from concurrent.futures import ThreadPoolExecutor
 
         self._loop = asyncio.get_running_loop()
         self._jobs = _JobQueue()
         self._idle = asyncio.Event()
         self._idle.set()
-        self._stopped = asyncio.Event()
         # ONE engine thread: every submit_batch/mutation/snapshot runs here,
         # serialised by the writer task, so the engine, its caches, and the
         # answer cache are only ever touched single-threaded.
@@ -590,8 +723,9 @@ class SACServer:
                 start_lsn=self.config.snapshot_lsn + 1,
                 fsync=self.config.wal_fsync,
             )
+            cursor = WalCursor(self.config.wal_dir, start_lsn=self.config.snapshot_lsn + 1)
             replayed = await self._loop.run_in_executor(
-                self._engine_thread, self._replay_outstanding
+                self._engine_thread, self._replay, cursor
             )
             if replayed:
                 print(
@@ -606,41 +740,30 @@ class SACServer:
                     self._engine_thread, self.service.calibrate_slo, int(k)
                 )
         self._writer_task = self._loop.create_task(self._writer_loop())
-        self._server = await asyncio.start_server(
-            self._on_connection, host=self.config.host, port=self.config.port
-        )
+        await super().start()
 
-    def _replay_outstanding(self) -> int:
-        """Replay WAL records beyond ``snapshot_lsn`` into the engine (writer start)."""
-        cursor = WalCursor(self.config.wal_dir, start_lsn=self.config.snapshot_lsn + 1)
+    def _replay(self, cursor: WalCursor) -> int:
+        """Apply every complete WAL record ``cursor`` can read now; the count.
+
+        Runs on the engine thread, in LSN order.  The writer replays the
+        log beyond its snapshot at start; a replica replays each poll's news
+        inside one write-barrier job.
+        """
         replayed = 0
         while True:
-            records = cursor.poll(max_records=512)
+            records = cursor.poll(max_records=256)
             if not records:
                 return replayed
             for record in records:
                 self.service.apply_record(record)
                 replayed += 1
 
-    async def serve_forever(self) -> None:
-        """Run until :meth:`stop` — the CLI entry point installs signals here.
-
-        ``SIGTERM``/``SIGINT`` trigger a graceful drain-and-stop; ``SIGUSR1``
-        snapshots the engine to ``config.snapshot_path`` without stopping.
-        """
-        if self._server is None:
-            await self.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError, RuntimeError):
-                loop.add_signal_handler(
-                    signum, lambda: loop.create_task(self.stop())
-                )
-        with contextlib.suppress(NotImplementedError, RuntimeError, AttributeError):
-            loop.add_signal_handler(
-                signal.SIGUSR1, lambda: loop.create_task(self.request_snapshot())
-            )
-        await self._stopped.wait()
+    def _signal_actions(self) -> List[Tuple[int, Callable[[], Awaitable[object]]]]:
+        """Adds ``SIGUSR1``: snapshot to ``config.snapshot_path`` without stopping."""
+        actions = super()._signal_actions()
+        if hasattr(signal, "SIGUSR1"):
+            actions.append((signal.SIGUSR1, self.request_snapshot))
+        return actions
 
     async def request_snapshot(self) -> bool:
         """Enqueue a snapshot job (serialised with mutations); False if unconfigured."""
@@ -665,21 +788,14 @@ class SACServer:
         lsn = self._wal.last_lsn if self._wal is not None else None
         self.service.save(path, lsn=lsn)
 
-    async def stop(self) -> None:
-        """Drain and stop: refuse new work, answer everything in flight, release.
+    async def _drain(self) -> None:
+        """Answer everything in flight and release the engine.
 
-        Sequence: stop accepting connections, flush every pending
-        micro-batch, let the writer queue run dry, wait (bounded) for open
-        requests to finish, snapshot if configured, stop the engine thread,
-        close remaining connections.
+        Runs between :meth:`stop` closing the listener and cancelling the
+        connections still open: flush every pending micro-batch, let the
+        writer queue run dry, wait (bounded) for open requests to finish,
+        snapshot if configured, stop the engine thread.
         """
-        if self._draining:
-            await self._stopped.wait()
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
         # Wake every parked subscription poller/stream first: they observe
         # _draining, answer with a final drain message, and release their
         # in-flight slot — otherwise the idle wait below would stall on
@@ -702,70 +818,11 @@ class SACServer:
             self._wal.close()
         # Streaming connections were woken above and are writing their final
         # drain chunk + terminator; give them a bounded window to finish so
-        # no client ever sees a torn chunk, then cancel whatever remains.
+        # no client ever sees a torn chunk, then stop() cancels the rest.
         if self._streams:
             await asyncio.wait(list(self._streams), timeout=2.0)
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        self._stopped.set()
 
-    async def wait_stopped(self) -> None:
-        """Block until :meth:`stop` has completed."""
-        await self._stopped.wait()
-
-    # ------------------------------------------------------------- connections
-    async def _on_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._connections.add(task)
-        try:
-            await self._connection_loop(reader, writer)
-        except asyncio.CancelledError:
-            pass
-        except (ConnectionError, TimeoutError):
-            pass
-        finally:
-            self._connections.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _connection_loop(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        """Serve one keep-alive connection until EOF, error, or drain."""
-        while True:
-            try:
-                request = await read_request(reader, max_body_bytes=self.config.max_body_bytes)
-            except ConnectionClosed:
-                return
-            except HttpError as error:
-                # Framing is broken (or the body was refused): answer and
-                # close — the stream position can no longer be trusted.
-                with contextlib.suppress(ConnectionError):
-                    await write_response(
-                        writer, *error_payload(error.status, error.message), keep_alive=False
-                    )
-                return
-            status, payload, headers = await self._dispatch(request)
-            if isinstance(payload, _SubscriptionStream):
-                # The subscription switches this socket to chunked
-                # streaming; the connection is dedicated to it from here on.
-                await self._stream_subscription(writer, payload)
-                return
-            keep_alive = request.keep_alive and not self._draining
-            try:
-                await write_response(
-                    writer,
-                    status,
-                    payload,
-                    keep_alive=keep_alive,
-                    extra_headers=headers or None,
-                )
-            except ConnectionError:
-                return
-            if not keep_alive:
-                return
-
+    # ----------------------------------------------------------------- routing
     async def _dispatch(self, request: Request) -> Tuple[int, dict, Dict[str, str]]:
         """Route one request, tracking per-endpoint latency and errors.
 
@@ -1557,7 +1614,7 @@ class SACServer:
 class ServerHandle:
     """Thread-safe handle to a server running in a background thread."""
 
-    def __init__(self, server: SACServer, loop: asyncio.AbstractEventLoop, thread: threading.Thread) -> None:
+    def __init__(self, server: HttpServer, loop: asyncio.AbstractEventLoop, thread: threading.Thread) -> None:
         self.server = server
         self._loop = loop
         self._thread = thread
@@ -1585,31 +1642,23 @@ class ServerHandle:
         self.stop()
 
 
-def start_in_thread(
-    service: SACService,
-    config: Optional[ServerConfig] = None,
-    *,
-    server_factory: Optional[Callable[[SACService, ServerConfig], SACServer]] = None,
-) -> ServerHandle:
-    """Run a :class:`SACServer` in a daemon thread; returns when it is listening.
+def start_in_thread(server: HttpServer) -> ServerHandle:
+    """Start ``server`` in a daemon thread; returns when it is listening.
 
-    The in-process harness the tests and ``bench_server_latency.py`` use:
-    no subprocess, no fixed port (pass ``port=0``), deterministic shutdown
-    via :meth:`ServerHandle.stop`.  Signal handlers are NOT installed (they
-    only work on the main thread); the handle's ``stop`` is the only
-    shutdown path.  ``server_factory`` swaps in a :class:`SACServer`
-    subclass — how the replication tests boot
-    :class:`repro.replication.ReplicaServer` instances in-process.
+    ``server`` is any server not started yet — a :class:`SACServer`, a
+    :class:`repro.replication.ReplicaServer` or a
+    :class:`repro.replication.Coordinator` — configured with ``port=0``
+    unless a fixed port is wanted.  The in-process harness the tests and
+    benchmarks use: no subprocess, deterministic shutdown via
+    :meth:`ServerHandle.stop`.  Signal handlers are NOT installed (they only
+    work on the main thread); the handle's ``stop`` is the only shutdown
+    path.
     """
-    config = config or ServerConfig(port=0)
-    factory = server_factory or SACServer
     started = threading.Event()
     box: dict = {}
 
     async def _run() -> None:
-        server = factory(service, config)
         await server.start()
-        box["server"] = server
         box["loop"] = asyncio.get_running_loop()
         started.set()
         await server.wait_stopped()
@@ -1626,6 +1675,6 @@ def start_in_thread(
     started.wait(timeout=30.0)
     if "error" in box:
         raise box["error"]
-    if "server" not in box:
+    if "loop" not in box:
         raise RuntimeError("server failed to start within 30s")
-    return ServerHandle(box["server"], box["loop"], thread)
+    return ServerHandle(server, box["loop"], thread)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from asyncio import IncompleteReadError, LimitOverrunError, StreamReader, StreamWriter
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 #: Reason phrases for every status the daemon emits.
 REASONS = {
@@ -151,6 +151,15 @@ async def _read_headers(
     raise HttpError(too_many, f"too many {what} header lines")
 
 
+def _content_length(headers: Dict[str, str], *, malformed: int) -> int:
+    """The ``Content-Length`` header (``0`` when absent); ``malformed`` if not ASCII digits."""
+    text = headers.get("content-length", "0")
+    # ASCII digits only: int() would also take "+21", "2_1" and spaces.
+    if not (text.isascii() and text.isdigit()):
+        raise HttpError(malformed, f"invalid Content-Length {text!r}")
+    return int(text)
+
+
 async def read_request(reader: StreamReader, *, max_body_bytes: int) -> Request:
     """Parse one HTTP request off the stream.
 
@@ -170,11 +179,7 @@ async def read_request(reader: StreamReader, *, max_body_bytes: int) -> Request:
     if "transfer-encoding" in headers:
         raise HttpError(400, "chunked transfer encoding is not supported")
     body = b""
-    length_text = headers.get("content-length", "0")
-    # ASCII digits only: int() would also take "+21", "2_1" and spaces.
-    if not (length_text.isascii() and length_text.isdigit()):
-        raise HttpError(400, f"invalid Content-Length {length_text!r}")
-    length = int(length_text)
+    length = _content_length(headers, malformed=400)
     if length > max_body_bytes:
         raise HttpError(413, f"request body of {length} bytes exceeds the {max_body_bytes} byte limit")
     if length:
@@ -196,10 +201,18 @@ async def read_request(reader: StreamReader, *, max_body_bytes: int) -> Request:
 
 
 def encode_response(
-    status: int, payload: dict, *, keep_alive: bool = True, extra_headers: Optional[Dict[str, str]] = None
+    status: int,
+    payload: Union[dict, bytes],
+    *,
+    keep_alive: bool = True,
+    extra_headers: Optional[Dict[str, str]] = None,
 ) -> bytes:
-    """Serialise one JSON response to wire bytes."""
-    body = json.dumps(payload).encode("utf-8")
+    """Serialise one JSON response to wire bytes.
+
+    A ``bytes`` payload is an encoded JSON body, sent as is: how the
+    replication coordinator passes a backend's reply through unchanged.
+    """
+    body = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
     reason = REASONS.get(status, "Unknown")
     lines = [
         f"HTTP/1.1 {status} {reason}",
@@ -215,12 +228,12 @@ def encode_response(
 async def write_response(
     writer: StreamWriter,
     status: int,
-    payload: dict,
+    payload: Union[dict, bytes],
     *,
     keep_alive: bool = True,
     extra_headers: Optional[Dict[str, str]] = None,
 ) -> None:
-    """Write one JSON response and flush it."""
+    """Write one JSON response (see :func:`encode_response`) and flush it."""
     writer.write(
         encode_response(
             status, payload, keep_alive=keep_alive, extra_headers=extra_headers
@@ -297,9 +310,10 @@ async def read_response(
     """Parse one HTTP response off the stream: ``(status, headers, body)``.
 
     The client-side twin of :func:`read_request`, with the same bounded
-    header and body limits.  Raises :class:`ConnectionClosed` on EOF before
-    the status line and :class:`HttpError` (as a 502-ish framing failure)
-    for malformed upstream responses.
+    header and body limits and the same digits-only ``Content-Length``.
+    Raises :class:`ConnectionClosed` on EOF before the status line and
+    :class:`HttpError` (as a 502-ish framing failure) for malformed
+    upstream responses.
     """
     line = await _read_line(reader)
     parts = line.split(None, 2)
@@ -312,11 +326,8 @@ async def read_response(
 
     headers = await _read_headers(reader, too_many=502, malformed=502, what="response")
     body = b""
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError:
-        raise HttpError(502, "invalid response Content-Length") from None
-    if length < 0 or length > max_body_bytes:
+    length = _content_length(headers, malformed=502)
+    if length > max_body_bytes:
         raise HttpError(502, f"unacceptable response body length {length}")
     if length:
         try:

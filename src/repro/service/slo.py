@@ -1,9 +1,10 @@
 """SLO-aware serving: the deadline-driven algorithm ladder and its cost model.
 
-The paper defines a quality/latency ladder — ``Exact+`` (radius within
-``1 + epsilon_a`` of optimal) down through ``AppAcc`` (``1 + epsilon_a``),
-``AppInc`` (``2``), and ``AppFast`` (``2 + epsilon_f``) — and leaves the rung
-choice to the caller.  This module makes the system climb the ladder
+The paper defines a quality/latency ladder — ``Exact+`` (optimal; its
+``epsilon_a`` only tunes the internal AppAcc bracket) down through
+``AppAcc`` (radius within ``1 + epsilon_a`` of optimal), ``AppInc`` (``2``),
+and ``AppFast`` (``2 + epsilon_f``) — and leaves the rung choice to the
+caller.  This module makes the system climb the ladder
 automatically under a **per-query deadline**: given ``deadline_ms``, a small
 calibrated :class:`CostModel` predicts what each rung would cost on the
 query's k-ĉore component (features: component size, number of uncached
@@ -117,14 +118,14 @@ def approximation_bound(algorithm: str, params: Mapping[str, float]) -> float:
     """The paper's approximation factor of ``algorithm`` under ``params``.
 
     The returned bound ``b`` guarantees ``answer.radius <= b * exact.radius``
-    (Theorems 2-4 of the paper): ``1`` for ``exact``, ``1 + epsilon_a`` for
-    ``exact+`` / ``appacc``, ``2`` for ``appinc``, ``2 + epsilon_f`` for
-    ``appfast``.  Parameters not supplied fall back to the algorithms'
-    documented defaults (``0.5``).
+    (Theorems 2-4 of the paper): ``1`` for ``exact`` and ``exact+`` (exact
+    for every ``epsilon_a``), ``1 + epsilon_a`` for ``appacc``, ``2`` for
+    ``appinc``, ``2 + epsilon_f`` for ``appfast``.  Parameters not supplied
+    fall back to the algorithms' documented defaults (``0.5``).
     """
-    if algorithm == "exact":
+    if algorithm in ("exact", "exact+"):
         return 1.0
-    if algorithm in ("exact+", "appacc"):
+    if algorithm == "appacc":
         return 1.0 + float(params.get("epsilon_a", 0.5))
     if algorithm == "appinc":
         return 2.0

@@ -35,12 +35,8 @@ import time
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.engine import IncrementalEngine
-from repro.replication import (
-    CoordinatorConfig,
-    ReplicaServer,
-    start_coordinator_in_thread,
-)
-from repro.server import SACClient, ServerConfig, start_in_thread
+from repro.replication import Coordinator, CoordinatorConfig, ReplicaServer
+from repro.server import SACClient, SACServer, ServerConfig, start_in_thread
 from repro.service import SACService, approximation_bound
 from repro.testing.oracle import assert_results_identical
 
@@ -88,7 +84,7 @@ def serve(base_graph, **config_kwargs):
     port defaults to an ephemeral one.
     """
     service = SACService(engine=IncrementalEngine(base_graph.mutable_copy()))
-    return start_in_thread(service, ServerConfig(**{"port": 0, **config_kwargs}))
+    return start_in_thread(SACServer(service, ServerConfig(**{"port": 0, **config_kwargs})))
 
 
 class Tier:
@@ -103,33 +99,33 @@ class Tier:
         self.snapshot = snapshot
         self.wal_dir = str(wal_dir)
         self.writer = start_in_thread(
-            SACService.open(snapshot),
-            ServerConfig(port=0, wal_dir=self.wal_dir, snapshot_path=snapshot),
+            SACServer(
+                SACService.open(snapshot),
+                ServerConfig(port=0, wal_dir=self.wal_dir, snapshot_path=snapshot),
+            )
         )
         self.replicas = [
             start_in_thread(
-                SACService.open(snapshot),
-                ServerConfig(port=0, wal_dir=self.wal_dir),
-                server_factory=lambda service, config: ReplicaServer(
-                    service,
-                    config,
+                ReplicaServer(
+                    SACService.open(snapshot),
+                    ServerConfig(port=0, wal_dir=self.wal_dir),
                     writer_url=f"http://127.0.0.1:{self.writer.port}",
                     poll_interval_ms=poll_interval_ms,
-                ),
+                )
             )
             for _ in range(replicas)
         ]
         self.coordinator = None
         if coordinator:
-            self.coordinator = start_coordinator_in_thread(
-                CoordinatorConfig(
-                    port=0,
-                    writer=f"127.0.0.1:{self.writer.port}",
-                    replicas=tuple(
-                        f"127.0.0.1:{h.port}" for h in self.replicas
-                    ),
-                    max_staleness_lsn=max_staleness_lsn,
-                    health_interval_ms=50.0,
+            self.coordinator = start_in_thread(
+                Coordinator(
+                    CoordinatorConfig(
+                        port=0,
+                        writer=f"127.0.0.1:{self.writer.port}",
+                        replicas=tuple(f"127.0.0.1:{h.port}" for h in self.replicas),
+                        max_staleness_lsn=max_staleness_lsn,
+                        health_interval_ms=50.0,
+                    )
                 )
             )
 

@@ -1,10 +1,21 @@
 """Unit tests for the command-line interface."""
 
+import contextlib
+import os
+import re
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.graph.io import load_graph_npz
-from repro.server import SACServer
+from repro.server import SACClient, SACServer
 
 
 @pytest.fixture
@@ -269,8 +280,16 @@ class TestServe:
             ["--max-queue-depth", "0"],
             ["--default-deadline-ms", "-5"],
             ["--subscription-backlog", "0"],
+            ["--subscription-idle-seconds", "nan"],
+            ["--subscription-idle-seconds", "-1"],
         ],
-        ids=["queue-depth", "default-deadline", "subscription-backlog"],
+        ids=[
+            "queue-depth",
+            "default-deadline",
+            "subscription-backlog",
+            "idle-seconds-nan",
+            "idle-seconds-negative",
+        ],
     )
     def test_unusable_setting_is_an_error_before_serving(
         self, graph_file, capsys, monkeypatch, flags
@@ -281,6 +300,65 @@ class TestServe:
         monkeypatch.setattr(SACServer, "serve_forever", refuse_to_serve)
         assert main(["serve", str(graph_file), "--port", "0", *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _serving(*flags):
+        """Run ``repro.cli serve --port 0 FLAGS`` in a subprocess; yields it.
+
+        Yields once the server answered ``/healthz``, by when its signal
+        handlers are installed.  A watchdog kills a server that hangs.
+        """
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0", *flags],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        watchdog = threading.Timer(120.0, process.kill)
+        watchdog.start()
+        try:
+            for line in process.stdout:
+                listening = re.search(r" on http://[\d.]+:(\d+)", line)
+                if listening:
+                    break
+            else:
+                pytest.fail(f"serve exited before listening (exit {process.wait()})")
+            with SACClient("127.0.0.1", int(listening.group(1))) as client:
+                assert client.healthz()["status"] == "ok"
+            yield process
+        finally:
+            watchdog.cancel()
+            process.kill()
+            process.wait()
+            process.stdout.close()
+
+    @staticmethod
+    def _assert_sigterm_stops(process):
+        """SIGTERM: the server prints ``server stopped`` and exits 0."""
+        process.send_signal(signal.SIGTERM)
+        output, _ = process.communicate(timeout=60)
+        assert process.returncode == 0, output
+        assert "server stopped" in output
+
+    def test_sigusr1_snapshots_and_sigterm_stops_the_daemon(self, graph_file, tmp_path):
+        snapshot = tmp_path / "live.store"
+        with self._serving(str(graph_file), "--snapshot-to", str(snapshot)) as process:
+            process.send_signal(signal.SIGUSR1)
+            deadline = time.monotonic() + 60
+            while not (snapshot / "manifest.json").is_file():
+                assert time.monotonic() < deadline, "SIGUSR1 wrote no snapshot"
+                assert process.poll() is None, "SIGUSR1 stopped the server"
+                time.sleep(0.05)
+            self._assert_sigterm_stops(process)
+
+    def test_sigterm_stops_a_coordinator_with_unreachable_backends(self):
+        flags = ("--role", "coordinator", "--writer-addr", "127.0.0.1:9", "--replicas", "127.0.0.1:9")
+        with self._serving(*flags) as process:
+            self._assert_sigterm_stops(process)
 
 
 class TestStats:

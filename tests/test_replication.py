@@ -24,13 +24,8 @@ import pytest
 
 from repro.datasets.geosocial import brightkite_like
 from repro.engine import IncrementalEngine
-from repro.replication import (
-    Coordinator,
-    CoordinatorConfig,
-    ReplicaServer,
-    start_coordinator_in_thread,
-)
-from repro.server import SACClient, ServerConfig, ServerError, start_in_thread
+from repro.replication import Coordinator, CoordinatorConfig, ReplicaServer
+from repro.server import SACClient, SACServer, ServerConfig, ServerError, start_in_thread
 from repro.service import SACService
 from repro.store import ArtifactStore
 from repro.testing.serverharness import (
@@ -189,8 +184,10 @@ class TestReplicaReplay:
         service = SACService.open(snapshot)
         service.save(str(store))
         writer = start_in_thread(
-            SACService.open(str(store)),
-            ServerConfig(port=0, wal_dir=str(wal_dir), snapshot_path=str(store)),
+            SACServer(
+                SACService.open(str(store)),
+                ServerConfig(port=0, wal_dir=str(wal_dir), snapshot_path=str(store)),
+            )
         )
         try:
             with SACClient("127.0.0.1", writer.port) as client:
@@ -205,11 +202,11 @@ class TestReplicaReplay:
             # The replica starts only NOW, from the stale pre-compaction view
             # (snapshot_lsn=0 cursor): its very first poll hits the gap.
             replica = start_in_thread(
-                SACService.open(str(store)),
-                ServerConfig(port=0, wal_dir=str(wal_dir)),
-                server_factory=lambda service, config: ReplicaServer(
-                    service, config, poll_interval_ms=10.0
-                ),
+                ReplicaServer(
+                    SACService.open(str(store)),
+                    ServerConfig(port=0, wal_dir=str(wal_dir)),
+                    poll_interval_ms=10.0,
+                )
             )
             try:
                 total = len(before) + len(after)
@@ -240,8 +237,10 @@ class TestReplicaReplay:
         store = tmp_path / "compacted-store"
         SACService.open(snapshot).save(str(store))
         writer = start_in_thread(
-            SACService.open(str(store)),
-            ServerConfig(port=0, wal_dir=str(wal_dir), snapshot_path=str(store)),
+            SACServer(
+                SACService.open(str(store)),
+                ServerConfig(port=0, wal_dir=str(wal_dir), snapshot_path=str(store)),
+            )
         )
         try:
             mutations = _mutations(eligible)[:3]
@@ -251,11 +250,11 @@ class TestReplicaReplay:
                         client.compact()
                     client.checkin(mutation["user"], mutation["x"], mutation["y"])
             replica = start_in_thread(
-                SACService.open(str(store), use_cache=False),
-                ServerConfig(port=0, wal_dir=str(wal_dir)),
-                server_factory=lambda service, config: ReplicaServer(
-                    service, config, poll_interval_ms=10.0
-                ),
+                ReplicaServer(
+                    SACService.open(str(store), use_cache=False),
+                    ServerConfig(port=0, wal_dir=str(wal_dir)),
+                    poll_interval_ms=10.0,
+                )
             )
             try:
                 _wait_applied(replica, len(mutations))
@@ -283,12 +282,14 @@ class TestCoordinator:
             return True
 
         monkeypatch.setattr(Coordinator, "_probe", probe)
-        handle = start_coordinator_in_thread(
-            CoordinatorConfig(
-                port=0,
-                writer="127.0.0.1:9",
-                replicas=("127.0.0.1:9",),
-                health_interval_ms=1.0,
+        handle = start_in_thread(
+            Coordinator(
+                CoordinatorConfig(
+                    port=0,
+                    writer="127.0.0.1:9",
+                    replicas=("127.0.0.1:9",),
+                    health_interval_ms=1.0,
+                )
             )
         )
         while not parked:

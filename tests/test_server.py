@@ -12,6 +12,8 @@ guarantees:
   request sequence had been applied serially in arrival order;
 * malformed traffic (broken JSON, garbage framing, oversized bodies and
   batches) is answered with the right 4xx and never wedges the connection;
+  the framing cases also run against a replication coordinator, which
+  shares the daemon's listener;
 * a graceful stop drains: pending coalesced queries are answered, then the
   listener goes away;
 * a query is dispatched the moment the writer could start it, and queries
@@ -32,7 +34,8 @@ import pytest
 from repro.datasets.geosocial import brightkite_like
 from repro.engine import IncrementalEngine, QueryEngine
 from repro.exceptions import InvalidParameterError
-from repro.server import SACClient, ServerConfig, ServerError, start_in_thread
+from repro.replication import Coordinator, CoordinatorConfig
+from repro.server import SACClient, SACServer, ServerConfig, ServerError, start_in_thread
 from repro.server.client import parallel_queries
 from repro.server.http import MAX_HEADER_COUNT, HttpError, read_response
 from repro.service import FULL_LADDER, SACService
@@ -141,6 +144,22 @@ def reference(base_graph):
 def server(base_graph):
     """A shared server for the read-only tests."""
     handle = _serve(base_graph)
+    yield handle
+    handle.stop()
+
+
+@pytest.fixture(scope="module", params=["daemon", "coordinator"])
+def any_server(request):
+    """Either server kind on the shared listener: the daemon, or a coordinator.
+
+    The coordinator's backends are unreachable; it answers ``GET /healthz``
+    from its own state, which is all the framing tests send it.
+    """
+    if request.param == "daemon":
+        yield request.getfixturevalue("server")
+        return
+    config = CoordinatorConfig(port=0, writer="127.0.0.1:9", replicas=("127.0.0.1:9",))
+    handle = start_in_thread(Coordinator(config))
     yield handle
     handle.stop()
 
@@ -414,8 +433,8 @@ class TestProtocolRobustness:
         )
         assert raw.startswith(b"HTTP/1.1 400")
 
-    def test_garbage_request_line_is_a_400(self, server):
-        raw = self._raw(server, b"EHLO example.com\r\n\r\n")
+    def test_garbage_request_line_is_a_400(self, any_server):
+        raw = self._raw(any_server, b"EHLO example.com\r\n\r\n")
         assert raw.startswith(b"HTTP/1.1 400")
 
     @pytest.mark.parametrize(
@@ -428,26 +447,26 @@ class TestProtocolRobustness:
         ],
         ids=["plus-sign", "underscore", "vertical-tab", "conflicting-repeat"],
     )
-    def test_malformed_content_length_is_a_400_and_closes(self, server, length_headers):
+    def test_malformed_content_length_is_a_400_and_closes(self, any_server, length_headers):
         """RFC 9112 §6.3: invalid framing is answered 400, then the socket closes."""
         body = b"x" * 21
         headers = b"".join(b"Content-Length: %s\r\n" % value for value in length_headers)
-        raw = self._raw(server, b"GET /healthz HTTP/1.1\r\n%s\r\n%s" % (headers, body))
+        raw = self._raw(any_server, b"GET /healthz HTTP/1.1\r\n%s\r\n%s" % (headers, body))
         assert raw.startswith(b"HTTP/1.1 400")
         assert b"Content-Length" in raw.split(b"\r\n\r\n", 1)[1]
         assert b"Connection: close" in raw
 
-    def test_content_length_with_ows_or_agreeing_repeats_is_accepted(self, server):
+    def test_content_length_with_ows_or_agreeing_repeats_is_accepted(self, any_server):
         body = b"x" * 21
         for headers in (b"Content-Length: \t21 \r\n", b"Content-Length: 21\r\n" * 2):
-            raw = self._raw(server, b"GET /healthz HTTP/1.1\r\n%s\r\n%s" % (headers, body))
+            raw = self._raw(any_server, b"GET /healthz HTTP/1.1\r\n%s\r\n%s" % (headers, body))
             assert raw.startswith(b"HTTP/1.1 200"), raw[:200]
 
-    def test_repeated_header_lines_count_against_the_limit(self, server):
+    def test_repeated_header_lines_count_against_the_limit(self, any_server):
         """The bound is on header lines, so one repeated name cannot stream forever."""
         for lines, status in ((MAX_HEADER_COUNT, b"200"), (MAX_HEADER_COUNT + 1, b"431")):
             repeats = b"X-Repeat: 1\r\n" * lines
-            raw = self._raw(server, b"GET /healthz HTTP/1.1\r\n%s\r\n" % repeats)
+            raw = self._raw(any_server, b"GET /healthz HTTP/1.1\r\n%s\r\n" % repeats)
             assert raw.startswith(b"HTTP/1.1 " + status), (lines, raw[:200])
 
     def test_response_reader_counts_repeated_header_lines(self):
@@ -466,6 +485,22 @@ class TestProtocolRobustness:
         assert asyncio.run(read(MAX_HEADER_COUNT))[0] == 200
         with pytest.raises(HttpError) as excinfo:
             asyncio.run(read(MAX_HEADER_COUNT + 1))
+        assert excinfo.value.status == 502
+
+    @pytest.mark.parametrize("length", [b"+21", b"2_1"], ids=["plus-sign", "underscore"])
+    def test_response_reader_takes_only_digit_content_lengths(self, length):
+        """A backend reply framed like a refused request is a 502, not a body."""
+
+        async def read():
+            reader = asyncio.StreamReader()
+            reader.feed_data(
+                b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n%s" % (length, b"x" * 21)
+            )
+            reader.feed_eof()
+            return await read_response(reader, max_body_bytes=1024)
+
+        with pytest.raises(HttpError) as excinfo:
+            asyncio.run(read())
         assert excinfo.value.status == 502
 
     def test_oversized_body_is_a_413(self, base_graph):
@@ -629,7 +664,7 @@ class TestMutations:
 
     def test_mutations_on_static_engine_are_a_400(self, base_graph):
         service = SACService(engine=QueryEngine(base_graph))
-        handle = start_in_thread(service, ServerConfig(port=0))
+        handle = start_in_thread(SACServer(service, ServerConfig(port=0)))
         try:
             with SACClient(handle.host, handle.port) as client:
                 assert client.healthz()["incremental"] is False
@@ -753,7 +788,7 @@ class TestSloServing:
         finally:
             handle.stop()
         assert response["algorithm_used"] == "exact+"
-        assert response["bound"] == 1.5
+        assert response["bound"] == 1.0
 
     def test_lying_cost_model_still_answers_with_missed_flag(
         self, base_graph, reference
@@ -941,13 +976,8 @@ class TestMonotonicDeadlineClock:
         service = SACService(
             engine=IncrementalEngine(base_graph.mutable_copy()), clock=clock
         )
-        from repro.server.daemon import SACServer
-
-        return start_in_thread(
-            service,
-            ServerConfig(port=0, slo_enabled=True, warm_ks=(K,)),
-            server_factory=lambda svc, cfg: SACServer(svc, cfg, clock=clock),
-        )
+        config = ServerConfig(port=0, slo_enabled=True, warm_ks=(K,))
+        return start_in_thread(SACServer(service, config, clock=clock))
 
     def test_frozen_clock_never_flags_a_deadline_miss(self, base_graph, reference):
         """Zero elapsed monotonic time == nothing is late, however tight."""
