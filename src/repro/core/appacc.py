@@ -10,6 +10,12 @@ to the query, and recorded infeasible radii) drop whole subtrees.  With cell
 width ``beta = delta * epsilon_a / (sqrt(2) * (2 + epsilon_a))`` and binary
 search tolerance ``alpha' = delta * epsilon_a / 4`` the returned community's
 MCC radius is within ``(1 + epsilon_a)`` of optimal (Lemma 7).
+
+Each anchor's probes run through one :class:`~repro.core.base.AnchorProbe`:
+one grid query at the anchor's largest radius, whose distance order answers
+every smaller radius of the binary search, and a peel + BFS only for inside
+sets the query has not seen at any anchor.  The decisions, answers and
+``feasibility_checks`` are those of one fresh probe per radius.
 """
 
 from __future__ import annotations
@@ -18,8 +24,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.appfast import app_fast
 from repro.core.base import (
+    AnchorProbe,
     QueryContext,
     nearest_neighbor_community,
     resolve_context,
@@ -147,6 +156,7 @@ def run_app_acc(context: QueryContext, epsilon_a: float) -> AppAccState:
 
     min_beta = delta * epsilon_a / (math.sqrt(2.0) * (2.0 + epsilon_a))
     alpha_prime = delta * epsilon_a / 4.0
+    max_iterations = 64 + len(context.candidates)
 
     tree = RegionQuadtree(qx, qy, 2.0 * gamma)
     state = AppAccState(
@@ -177,7 +187,8 @@ def run_app_acc(context: QueryContext, epsilon_a: float) -> AppAccState:
                 continue
             probe_radius = state.radius + slack
             state.anchors_probed += 1
-            feasible = context.community_members_in_circle(px, py, probe_radius)
+            probe = AnchorProbe(context, px, py, probe_radius)
+            feasible = probe(probe_radius)
             if feasible is None:
                 # Pruning2: if the optimal centre were inside this cell, the
                 # circle O(anchor, ropt + slack) ⊆ O(anchor, probe_radius)
@@ -188,8 +199,8 @@ def run_app_acc(context: QueryContext, epsilon_a: float) -> AppAccState:
                 state.anchors_pruned += 1
                 continue
             level_anchors.append(node.anchor)
-            members, anchored_radius = _binary_search_anchor(
-                context, px, py, probe_radius, delta, alpha_prime, feasible
+            members = _binary_search_anchor(
+                probe, probe_radius, delta, alpha_prime, feasible, max_iterations
             )
             mcc = context.mcc_of(members)
             if mcc.radius < state.radius:
@@ -203,34 +214,30 @@ def run_app_acc(context: QueryContext, epsilon_a: float) -> AppAccState:
 
 
 def _binary_search_anchor(
-    context: QueryContext,
-    px: float,
-    py: float,
+    probe: AnchorProbe,
     upper: float,
     delta: float,
     alpha_prime: float,
-    initial_members,
-):
-    """Binary search the smallest feasible radius centred at anchor ``(px, py)``.
+    initial_members: np.ndarray,
+    max_iterations: int,
+) -> np.ndarray:
+    """Binary search the smallest feasible radius centred at ``probe``'s anchor.
 
-    ``initial_members`` is the feasible community (int64 array) already found
-    for the ``upper`` radius, so the search always has a fallback.  Returns
-    the best community members and the (anchor-centred) radius.
+    ``initial_members`` is the feasible community already found for the
+    ``upper`` radius, so the search always has a fallback.  Returns the
+    members found at the smallest feasible radius probed.
     """
     lower = delta / 2.0  # Lemma 3: ropt >= delta / 2, no anchor can do better.
     best_members = initial_members
-    best_radius = upper
     iterations = 0
-    max_iterations = 64 + len(context.candidates)
 
     while upper - lower > alpha_prime and iterations < max_iterations:
         iterations += 1
         radius = (lower + upper) / 2.0
-        members = context.community_members_in_circle(px, py, radius)
+        members = probe(radius)
         if members is not None:
             best_members = members
-            best_radius = radius
             upper = radius
         else:
             lower = radius
-    return best_members, best_radius
+    return best_members

@@ -11,6 +11,15 @@ Every algorithm in Section 4 repeats the same two ingredients:
 
 :class:`QueryContext` packages both so the individual algorithm modules stay
 small and focused on their search strategies.
+
+AppAcc and Exact+ probe thousands of circles per query, and most of them
+hold a vertex set the same query already peeled.  Their probes
+(:class:`AnchorProbe`, :meth:`QueryContext.shared_members_in_circle`)
+therefore peel and BFS each distinct inside set once per query, and
+:meth:`QueryContext.mcc_of` measures each distinct member set once.  Every
+probe still makes the decision an uncached probe would, and still counts in
+``feasibility_checks``.  AppFast's probes never repeat, so
+:meth:`QueryContext.community_members_in_circle` keeps no memo.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import numpy as np
 from repro.core.result import SACResult
 from repro.exceptions import InvalidParameterError, NoCommunityError, VertexNotFoundError
 from repro.geometry.circle import Circle
-from repro.geometry.grid import GridIndex
+from repro.geometry.grid import CircleScan, GridIndex
 from repro.geometry.mec import minimum_enclosing_circle
 from repro.geometry.point import Point
 from repro.graph.spatial_graph import SpatialGraph
@@ -35,6 +44,14 @@ from repro.kcore.connected_core import (
     csr_peel_mask,
 )
 from repro.kcore.decomposition import gather_neighbors
+
+#: Bytes one query's probe memo, and separately its MEC memo, may hold: keys,
+#: values and a fixed per-entry charge.  Past it the oldest entries go first.
+_MEMO_BYTES = 4 << 20
+#: What one memo entry costs beyond its key and value payloads (the dict
+#: slot and the bytes / array / circle object headers), rounded up.
+_ENTRY_OVERHEAD = 256
+_MISSING = object()
 
 
 def validate_query(graph: SpatialGraph, query: int, k: int) -> None:
@@ -77,6 +94,42 @@ def _induced_csr(graph: SpatialGraph, vertices: np.ndarray) -> Tuple[np.ndarray,
     local_indptr = np.zeros(vertices.size + 1, dtype=np.int64)
     np.cumsum(local_counts, out=local_indptr[1:])
     return local_indptr, local_indices
+
+
+class _Memo:
+    """Insertion-ordered ``bytes -> value`` map holding at most ``_MEMO_BYTES``.
+
+    Each entry is charged its key, its value's payload and
+    ``_ENTRY_OVERHEAD``; to admit a new entry the oldest ones are dropped,
+    and an entry larger than the whole cap is not kept.  Values are pure
+    functions of their keys, so dropping one only costs its recomputation.
+    """
+
+    __slots__ = ("_entries", "nbytes")
+
+    def __init__(self) -> None:
+        self._entries: Dict[bytes, Tuple[object, int]] = {}
+        #: Bytes charged for the entries held now.
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: bytes, default=None):
+        """The value stored under ``key``, else ``default``."""
+        entry = self._entries.get(key)
+        return default if entry is None else entry[0]
+
+    def put(self, key: bytes, value, payload_bytes: int) -> None:
+        """Store ``value`` under ``key``, dropping the oldest entries to fit."""
+        size = len(key) + payload_bytes + _ENTRY_OVERHEAD
+        if size > _MEMO_BYTES or key in self._entries:
+            return
+        entries = self._entries
+        while self.nbytes + size > _MEMO_BYTES:
+            self.nbytes -= entries.pop(next(iter(entries)))[1]
+        entries[key] = (value, size)
+        self.nbytes += size
 
 
 @dataclass(frozen=True)
@@ -143,6 +196,11 @@ class QueryContext:
     grid index over the candidates — is reused and only the query-specific
     distance vector is computed.  The two construction paths produce
     bit-identical probe results.
+
+    A context serves one query and keeps two memos for its lifetime, each
+    capped at ``_MEMO_BYTES``: peel + BFS results by inside set (for
+    :class:`AnchorProbe` and :meth:`shared_members_in_circle`) and MECs by
+    member set (for :meth:`mcc_of`).
     """
 
     def __init__(
@@ -192,6 +250,11 @@ class QueryContext:
         self._grid = artifacts.grid
         # Position of the query inside candidate_array (= its local CSR id).
         self._local_query = int(np.searchsorted(artifacts.candidate_array, query))
+        # Peel + BFS results keyed by the sorted local positions of the inside
+        # set (``None`` for an infeasible one), and MECs keyed by the sorted
+        # member ids: what AppAcc's and Exact+'s probes share within a query.
+        self._probe_memo = _Memo()
+        self._mec_memo = _Memo()
 
     @property
     def distances(self) -> Dict[int, float]:
@@ -289,13 +352,53 @@ class QueryContext:
         component-local CSR, so a probe costs ``O(|candidates in circle|)``
         regardless of the size of the full graph.
         """
+        inside = self._probe_inside(center_x, center_y, radius)
+        return None if inside is None else self._community_of(inside)
+
+    def shared_members_in_circle(
+        self, center_x: float, center_y: float, radius: float
+    ) -> Optional[np.ndarray]:
+        """:meth:`community_members_in_circle`, peeling each distinct inside set once.
+
+        Same decision, same members and the same count in
+        ``feasibility_checks``; the peel + BFS result is kept per inside set
+        for the rest of the query, shared with every :class:`AnchorProbe`.
+        Exact+'s enumeration probes run here.
+        """
+        inside = self._probe_inside(center_x, center_y, radius)
+        return None if inside is None else self._shared_community_of(np.sort(inside))
+
+    def _probe_inside(self, center_x: float, center_y: float, radius: float) -> Optional[np.ndarray]:
+        """Count one probe; the local positions inside the circle, or ``None``.
+
+        ``None`` when the probe is infeasible before any peeling: the query
+        lies outside the circle, or the circle holds at most ``k`` candidates.
+        """
         self.feasibility_checks += 1
         if self.graph.distance_to_point(self.query, center_x, center_y) > radius + 1e-12:
             return None
         inflated = radius + 1e-9 * max(1.0, radius)
         inside = self._grid.query_circle_array(center_x, center_y, inflated)
-        if inside.size < self.k + 1:
-            return None
+        return None if inside.size < self.k + 1 else inside
+
+    def _shared_community_of(self, inside: np.ndarray) -> Optional[np.ndarray]:
+        """:meth:`_community_of` a sorted inside set, through the query's probe memo."""
+        key = inside.tobytes()
+        members = self._probe_memo.get(key, _MISSING)
+        if members is _MISSING:
+            members = self._community_of(inside)
+            if members is not None:
+                members.flags.writeable = False  # shared by every caller
+            self._probe_memo.put(key, members, 0 if members is None else members.nbytes)
+        return members
+
+    def _community_of(self, inside: np.ndarray) -> Optional[np.ndarray]:
+        """Peel + BFS: the query's connected k-core in the candidates at ``inside``.
+
+        ``inside`` holds unique local positions (indices into
+        ``candidate_array``) in any order; the answer is a sorted int64 array
+        of vertex ids, or ``None`` when the query does not survive the peel.
+        """
         artifacts = self._artifacts
         core = csr_peel_mask(
             artifacts.local_indptr, artifacts.local_indices, artifacts.candidate_array.size,
@@ -363,13 +466,19 @@ class QueryContext:
 
         Accepts any iterable of vertex indices (set or int64 array); the
         members are passed to the MEC in ascending index order so the result
-        is deterministic regardless of the container.
+        is deterministic regardless of the container.  Each distinct member
+        set is measured once per query.
         """
         if isinstance(members, np.ndarray):
             arr = np.sort(members.astype(np.int64, copy=False))
         else:
             arr = np.sort(np.fromiter((int(v) for v in members), dtype=np.int64))
-        return minimum_enclosing_circle(self.graph.coordinates[arr])
+        key = arr.tobytes()
+        circle = self._mec_memo.get(key)
+        if circle is None:
+            circle = minimum_enclosing_circle(self.graph.coordinates[arr])
+            self._mec_memo.put(key, circle, 0)
+        return circle
 
     def make_result(
         self, algorithm: str, members: Set[int], stats: Optional[Dict[str, float]] = None
@@ -386,6 +495,59 @@ class QueryContext:
             circle=self.mcc_of(members),
             stats=stats,
         )
+
+
+class AnchorProbe:
+    """Feasibility probes of circles around one anchor point.
+
+    AppAcc's binary search around an anchor runs through one of these, built
+    for radii up to ``largest``.  Calling it with ``r`` decides exactly what
+    ``context.community_members_in_circle(x, y, r)`` decides, returns the
+    same members and counts once in the context's ``feasibility_checks``,
+    but
+
+    * the grid is asked once, at ``largest``; the inside set at ``r`` is a
+      prefix of that answer ordered by distance (:class:`CircleScan`);
+    * a prefix no longer than one already found infeasible is infeasible
+      (a k-core inside a subset is a k-core inside the superset), and a
+      prefix length seen before repeats its answer;
+    * any other prefix goes through the context's probe memo, which the
+      other anchors and Exact+'s enumeration share.
+    """
+
+    __slots__ = ("_context", "_x", "_y", "_query_distance", "_scan", "_by_length", "_infeasible")
+
+    def __init__(self, context: QueryContext, center_x: float, center_y: float, largest: float) -> None:
+        self._context = context
+        self._x = center_x
+        self._y = center_y
+        self._query_distance = context.graph.distance_to_point(context.query, center_x, center_y)
+        inflated = largest + 1e-9 * max(1.0, largest)
+        self._scan = CircleScan(context._grid, center_x, center_y, inflated)
+        self._by_length: Dict[int, np.ndarray] = {}  # feasible prefixes seen
+        self._infeasible = 0  # longest prefix known to be infeasible
+
+    def __call__(self, radius: float) -> Optional[np.ndarray]:
+        """The k-ĉore members inside ``O(anchor, radius)``, or ``None``."""
+        context = self._context
+        count = self._scan.prefix_length(radius + 1e-9 * max(1.0, radius))
+        if count < 0:  # not a prefix of the scan: ask the grid
+            return context.shared_members_in_circle(self._x, self._y, radius)
+        context.feasibility_checks += 1
+        if (
+            self._query_distance > radius + 1e-12
+            or count < context.k + 1
+            or count <= self._infeasible
+        ):
+            return None
+        members = self._by_length.get(count)
+        if members is None:
+            members = context._shared_community_of(np.sort(self._scan.indices[:count]))
+            if members is None:
+                self._infeasible = count
+                return None
+            self._by_length[count] = members
+        return members
 
 
 def resolve_context(

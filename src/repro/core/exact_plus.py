@@ -12,12 +12,21 @@ must fall in ``[√3 · ropt, 2 · ropt]``).
 In addition to triples, pairs of fixed vertices are enumerated explicitly so
 that optimal MCCs determined by a diameter (two boundary vertices) are found
 even when no third community member lies in the annulus.
+
+Most enumeration circles hold a vertex set the query already peeled, in
+its AppAcc phase or at an earlier circle, and most feasible ones hold a
+community it already measured; the probes and MECs go through the query's
+memos (:meth:`~repro.core.base.QueryContext.shared_members_in_circle`,
+:meth:`~repro.core.base.QueryContext.mcc_of`), so each distinct set costs
+one peel + BFS and one MEC.
 """
 
 from __future__ import annotations
 
 import math
 from typing import List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.core.appacc import AppAccState, run_app_acc
 from repro.core.base import (
@@ -122,7 +131,7 @@ def exact_plus(
             triples_examined += 1
             improved = _probe_circle(context, circle.center.x, circle.center.y, circle.radius)
             if improved is not None and improved[1] < best_radius:
-                best_members, best_radius = improved[0], improved[1]
+                best_members, best_radius = {int(v) for v in improved[0]}, improved[1]
 
     # ------------------------------------------------ triple enumeration
     for v1 in f1:
@@ -148,7 +157,7 @@ def exact_plus(
                     context, circle.center.x, circle.center.y, circle.radius
                 )
                 if improved is not None and improved[1] < best_radius:
-                    best_members, best_radius = improved[0], improved[1]
+                    best_members, best_radius = {int(v) for v in improved[0]}, improved[1]
 
     stats = {
         "fixed_vertex_candidates": len(f1),
@@ -167,10 +176,14 @@ def _dist(a: Tuple[float, float], b: Tuple[float, float]) -> float:
 
 def _probe_circle(
     context: QueryContext, center_x: float, center_y: float, radius: float
-) -> Optional[Tuple[Set[int], float]]:
-    """Probe a candidate circle and return ``(community, mcc_radius)`` if feasible."""
-    members = context.community_members_in_circle(center_x, center_y, radius)
+) -> Optional[Tuple[np.ndarray, float]]:
+    """Probe a candidate circle and return ``(members, mcc_radius)`` if feasible.
+
+    The probe and the MEC go through the query's memos, so a circle holding
+    a vertex set this query already peeled, or a community it already
+    measured, costs a lookup.
+    """
+    members = context.shared_members_in_circle(center_x, center_y, radius)
     if members is None:
         return None
-    mcc = context.mcc_of(members)
-    return {int(v) for v in members}, mcc.radius
+    return members, context.mcc_of(members).radius

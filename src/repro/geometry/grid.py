@@ -16,6 +16,7 @@ of adjacency.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
@@ -365,3 +366,69 @@ class GridIndex:
         pairs = [(float(d), int(i)) for d, i in zip(distances, indices)]
         pairs.sort()
         return pairs
+
+
+class CircleScan:
+    """The points of one :meth:`GridIndex.query_circle_array` call, nearest first.
+
+    A search that shrinks a circle around a fixed centre (AppAcc's anchor
+    binary search) asks the grid the same question at many radii.  The scan
+    makes one grid query at the largest radius; the first time a smaller
+    radius is asked for, it sorts those points by the squared distance the
+    grid itself tests, and the answer at any smaller radius is then a prefix
+    of that order, found by bisection.
+
+    The prefix is exact, not approximate.  ``query_circle_array(x, y, r)``
+    keeps the points of the cells covering ``[x - r, x + r] × [y - r, y + r]``
+    whose squared offset is at most ``r * r + 1e-18``.  Both conditions only
+    tighten as ``r`` shrinks, so the smaller answer is a subset of the scan,
+    and the squared-offset condition alone selects the prefix.  A point whose
+    offsets along both axes are below ``r`` lies in a covered cell (rounding
+    is monotone, so ``x - r`` rounds to at most its coordinate), so a prefix
+    whose largest axis offset is below ``r`` is the grid's answer;
+    :meth:`prefix_length` reports every other case, which needs an offset
+    within rounding of ``r`` itself, as "not a prefix".
+    """
+
+    __slots__ = ("radius", "indices", "_grid", "_x", "_y", "_squared", "_extent")
+
+    def __init__(self, grid: GridIndex, x: float, y: float, radius: float) -> None:
+        self.radius = radius
+        #: The grid's answer at ``radius``; nearest first once a smaller
+        #: radius has been asked for.
+        self.indices = grid.query_circle_array(x, y, radius)
+        self._grid = grid
+        self._x = x
+        self._y = y
+        self._squared: List[float] = []
+        self._extent: List[float] = []
+
+    def prefix_length(self, radius: float) -> int:
+        """How many leading :attr:`indices` ``query_circle_array(x, y, radius)`` returns.
+
+        ``-1`` when its answer is not known to be such a prefix: ``radius``
+        above the scan's, or a point of the prefix lying within rounding of
+        the edge of the cells the smaller query covers.
+        """
+        if radius >= self.radius:
+            return self.indices.size if radius == self.radius else -1
+        if radius < 0:
+            return 0
+        if self.indices.size and not self._squared:
+            self._sort()
+        count = bisect.bisect_right(self._squared, radius * radius + 1e-18)
+        if count and self._extent[count - 1] >= radius:
+            return -1
+        return count
+
+    def _sort(self) -> None:
+        """Order :attr:`indices` by the squared distance the grid tests."""
+        coords = self._grid._coords
+        dx = coords[self.indices, 0] - self._x
+        dy = coords[self.indices, 1] - self._y
+        squared = dx * dx + dy * dy
+        order = np.argsort(squared, kind="stable")
+        self.indices = self.indices[order]
+        self._squared = squared[order].tolist()
+        extent = np.maximum(np.abs(dx), np.abs(dy))[order]
+        self._extent = np.maximum.accumulate(extent).tolist()

@@ -29,9 +29,10 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import signal
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.server.daemon import HttpServer
 from repro.server.http import (
@@ -149,6 +150,20 @@ class Coordinator(HttpServer):
         """Start the health prober, then bind the listen socket."""
         self._health_task = asyncio.create_task(self._health_loop())
         await super().start()
+
+    def _signal_actions(self) -> List[Tuple[int, Callable[[], Awaitable[object]]]]:
+        """Adds ``SIGUSR1``, which ``serve`` documents as "snapshot": logged, then ignored."""
+        actions = super()._signal_actions()
+        if hasattr(signal, "SIGUSR1"):
+            actions.append((signal.SIGUSR1, self._decline_snapshot))
+        return actions
+
+    async def _decline_snapshot(self) -> None:
+        """A coordinator holds no engine, so ``SIGUSR1`` has nothing to snapshot."""
+        print(
+            "coordinator: SIGUSR1 received; a coordinator has nothing to snapshot",
+            file=sys.stderr,
+        )
 
     async def _drain(self) -> None:
         """Cancel the health prober (connections are closed by :meth:`stop`)."""

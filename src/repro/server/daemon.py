@@ -1583,6 +1583,10 @@ class SACServer(HttpServer):
                         self.service.slo_model.rungs.items()
                     )
                 },
+                "calibration_probes": [
+                    {"algorithm": algorithm, "component_size": size, "ms": round(ms, 3)}
+                    for algorithm, size, ms in self.service.slo_model.calibration_probes
+                ],
             },
             "config": {
                 "max_batch_size": self.config.max_batch_size,

@@ -146,22 +146,27 @@ class _BlobPack:
 
     def __init__(self, path: Path) -> None:
         try:
-            self._file = open(path, "rb")
+            file = open(path, "rb")
         except OSError as error:
             raise StoreError(f"{path}: cannot open array pack: {error}") from None
+        # The map keeps its own descriptor, so the file is closed as soon as
+        # the archive's directory has been read; every error closes the map.
+        pack_map: Optional[mmap.mmap] = None
         try:
-            self._map = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
-            with zipfile.ZipFile(self._file) as archive:
-                infos = archive.infolist()
+            with file:
+                pack_map = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+                with zipfile.ZipFile(file) as archive:
+                    infos = archive.infolist()
         except (OSError, ValueError, zipfile.BadZipFile) as error:
-            self._file.close()
+            if pack_map is not None:
+                pack_map.close()
             raise StoreError(f"{path}: array pack is corrupt: {error}") from None
+        self._map = pack_map
         self._path = path
         self._members: Dict[str, Tuple[int, int]] = {}
         for info in infos:
             if info.compress_type != zipfile.ZIP_STORED:
                 self._map.close()
-                self._file.close()
                 raise StoreError(
                     f"{path}: member {info.filename!r} is compressed; "
                     "snapshots are written uncompressed"

@@ -26,6 +26,7 @@ __all__ = [
     "coordinates",
     "points",
     "point_lists",
+    "clustered_points",
     "edge_lists",
     "normalize_edges",
     "spatial_graphs",
@@ -57,6 +58,25 @@ def point_lists(
     return st.lists(points(**bounds), min_size=min_size, max_size=max_size)
 
 
+def clustered_points() -> st.SearchStrategy:
+    """Strategy for a unit-box point that often repeats or lines up with others.
+
+    Draws come from a 5 × 5 lattice (duplicate points, and collinear runs
+    along its rows, columns and diagonals), from the diagonal ``y = x``, from
+    the horizontal line ``y = 0.5``, or freely from the box.  Geometry code
+    meets its ties here: equal distances, points exactly on a circle, and
+    offsets along one axis only.
+    """
+    lattice = st.sampled_from([i / 4.0 for i in range(5)])
+    free = coordinates(0.0, 1.0)
+    return st.one_of(
+        st.tuples(lattice, lattice),
+        free.map(lambda t: (t, t)),
+        st.tuples(free, st.just(0.5)),
+        points(0.0, 1.0),
+    )
+
+
 def edge_lists(
     max_vertex: int = 14, min_size: int = 1, max_size: int = 60
 ) -> st.SearchStrategy:
@@ -83,13 +103,15 @@ def spatial_graphs(
     min_vertices: int = 4,
     max_vertices: int = 15,
     max_extra_edges: int = 60,
+    point_strategy: st.SearchStrategy | None = None,
 ) -> SpatialGraph:
     """Strategy for a small random :class:`SpatialGraph` with unit-box coords.
 
     A spanning path keeps every vertex connected to something (no isolated
     vertices, which most SAC properties would vacuously skip); extra edges
     drawn on top control the density.  Coordinates are drawn in the unit
-    box, matching the synthetic datasets.
+    box, matching the synthetic datasets, from ``point_strategy`` when given
+    (e.g. :func:`clustered_points`).
     """
     n = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
     extra = draw(edge_lists(max_vertex=n - 1, min_size=0, max_size=max_extra_edges))
@@ -98,7 +120,9 @@ def spatial_graphs(
     )
     coords = draw(
         st.lists(
-            points(0.0, 1.0), min_size=n, max_size=n
+            point_strategy if point_strategy is not None else points(0.0, 1.0),
+            min_size=n,
+            max_size=n,
         )
     )
     builder = GraphBuilder()

@@ -360,6 +360,14 @@ class TestServe:
         with self._serving(*flags) as process:
             self._assert_sigterm_stops(process)
 
+    def test_sigusr1_leaves_a_coordinator_serving(self):
+        with self._serving("--role", "coordinator", "--writer-addr", "127.0.0.1:9") as process:
+            process.send_signal(signal.SIGUSR1)
+            # The default action would end the process at once (exit -10).
+            time.sleep(1.0)
+            assert process.poll() is None, "SIGUSR1 stopped the coordinator"
+            self._assert_sigterm_stops(process)
+
 
 class TestStats:
     def test_stats_output(self, graph_file, capsys):

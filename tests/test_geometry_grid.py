@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.grid import GridIndex
+from repro.geometry.grid import CircleScan, GridIndex
+from repro.testing.strategies import clustered_points
 
 coordinate = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
 
@@ -158,3 +159,46 @@ def test_grid_circle_query_property(points, x, y, radius):
     expected = brute_force_circle(coords, x, y, radius)
     actual = set(index.query_circle(x, y, radius))
     assert actual == expected
+
+
+class TestCircleScan:
+    """A scan's prefixes are exactly the grid's answers at smaller radii."""
+
+    def test_prefixes_shrink_with_the_radius(self):
+        rng = np.random.default_rng(9)
+        index = GridIndex(rng.uniform(0, 1, size=(300, 2)))
+        scan = CircleScan(index, 0.4, 0.6, 0.5)
+        assert set(scan.indices.tolist()) == set(index.query_circle(0.4, 0.6, 0.5))
+        for radius in (0.5, 0.37, 0.2, 0.05, 0.0):
+            count = scan.prefix_length(radius)
+            assert count >= 0
+            assert set(scan.indices[:count].tolist()) == set(index.query_circle(0.4, 0.6, radius))
+
+    def test_a_point_on_the_axis_at_the_radius_is_not_a_prefix(self):
+        # (1, 0) lies exactly at distance 1 along the x axis: the squared
+        # distance admits it, and its axis offset equals the radius.
+        index = GridIndex([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (0.3, 0.3), (2.0, 2.0)])
+        scan = CircleScan(index, 0.0, 0.0, 1.5)
+        assert scan.prefix_length(1.0) == -1
+        assert scan.prefix_length(0.9) == 3
+        assert scan.prefix_length(2.0) == -1  # above the scan's radius
+        assert scan.prefix_length(-1.0) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    points=st.lists(clustered_points(), min_size=1, max_size=40),
+    center=clustered_points(),
+    radii=st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=1, max_size=6),
+)
+def test_circle_scan_prefix_property(points, center, radii):
+    index = GridIndex(np.asarray(points, dtype=np.float64))
+    largest = max(radii)
+    scan = CircleScan(index, center[0], center[1], largest)
+    for radius in sorted(radii, reverse=True):
+        count = scan.prefix_length(radius)
+        expected = set(index.query_circle(center[0], center[1], radius))
+        if count >= 0:
+            assert set(scan.indices[:count].tolist()) == expected
+        # A radius on a point's axis offset may answer "not a prefix"; the
+        # caller then asks the grid itself.

@@ -29,6 +29,7 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.datasets.geosocial import brightkite_like
@@ -38,7 +39,7 @@ from repro.replication import Coordinator, CoordinatorConfig
 from repro.server import SACClient, SACServer, ServerConfig, ServerError, start_in_thread
 from repro.server.client import parallel_queries
 from repro.server.http import MAX_HEADER_COUNT, HttpError, read_response
-from repro.service import FULL_LADDER, SACService
+from repro.service import FULL_LADDER, LADDER, SACService
 from repro.testing.serverharness import (
     EPS,
     K,
@@ -789,6 +790,25 @@ class TestSloServing:
             handle.stop()
         assert response["algorithm_used"] == "exact+"
         assert response["bound"] == 1.0
+
+    def test_stats_list_the_calibration_probes(self, base_graph):
+        """``slo.calibration_probes``: one timed query per rung per probed component."""
+        handle = _serve(base_graph, slo_enabled=True, warm_ks=(K,))
+        try:
+            with SACClient(handle.host, handle.port) as client:
+                probes = client.stats()["slo"]["calibration_probes"]
+            engine = handle.server.service.engine
+        finally:
+            handle.stop()
+        # CostModel.calibrate probes the median and the largest component.
+        labels, count = engine.component_labels(K)
+        sizes = np.bincount(labels[labels >= 0], minlength=count)
+        order = np.argsort(sizes)
+        components = sorted({int(order[count // 2]), int(order[-1])}, key=lambda c: sizes[c])
+        assert [(p["algorithm"], p["component_size"]) for p in probes] == [
+            (algorithm, int(sizes[c])) for c in components for algorithm in LADDER
+        ]
+        assert all(p["ms"] > 0 for p in probes)
 
     def test_lying_cost_model_still_answers_with_missed_flag(
         self, base_graph, reference

@@ -16,7 +16,10 @@ Plus the negative paths: missing/corrupt manifests, blob/manifest
 mismatches, version skew, and non-store directories.
 """
 
+import gc
 import json
+import mmap
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +202,38 @@ class TestWarmIncrementalParity:
         warm.apply_checkin(moved, 0.5, 0.5)
         assert warm.stats.bundles_thawed >= 1
         assert warm.stats.bundles_patched >= 1
+
+
+class TestPackHandles:
+    """Opening a store keeps no file handle; a corrupt pack keeps no map."""
+
+    def test_repeated_opens_leave_no_unclosed_file(self, tmp_path):
+        _graph, engine = _warm_engine(13, n=18, edges=60)
+        path = ArtifactStore.save(tmp_path / "snap", engine).path
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for _ in range(5):
+                ArtifactStore.open(path).graph()
+            gc.collect()
+        leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
+
+    def test_a_corrupt_pack_closes_its_map(self, tmp_path, monkeypatch):
+        _graph, engine = _warm_engine(13, n=18, edges=60)
+        path = ArtifactStore.save(tmp_path / "snap", engine).path
+        pack = path / "arrays.npz"
+        pack.write_bytes(pack.read_bytes()[:100])
+        maps = []
+        real_mmap = mmap.mmap
+
+        def recording_mmap(*args, **kwargs):
+            maps.append(real_mmap(*args, **kwargs))
+            return maps[-1]
+
+        monkeypatch.setattr(mmap, "mmap", recording_mmap)
+        with pytest.raises(StoreError, match="corrupt"):
+            QueryEngine.from_store(path)
+        assert maps and all(m.closed for m in maps)
 
 
 class TestNegativePaths:
