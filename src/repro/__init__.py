@@ -56,6 +56,7 @@ Public surface
 """
 
 from repro.core import (
+    Members,
     SACResult,
     SACSearcher,
     app_acc,
@@ -79,7 +80,7 @@ from repro.graph import GraphBuilder, SpatialGraph
 from repro.server import SACClient, SACServer, ServerConfig
 from repro.store import ArtifactStore
 
-__version__ = "5.1.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "__version__",
@@ -87,6 +88,7 @@ __all__ = [
     "GraphBuilder",
     "SACSearcher",
     "SACResult",
+    "Members",
     "QueryEngine",
     "IncrementalEngine",
     "EngineStats",

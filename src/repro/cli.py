@@ -507,7 +507,7 @@ def _command_query(args: argparse.Namespace) -> int:
     if result is None:
         print(f"no community with minimum degree {args.k} contains vertex {args.vertex}")
         return 1
-    members = ", ".join(str(label) for label in sorted(searcher.member_labels(result)))
+    members = ", ".join(map(str, searcher.member_labels(result)))
     print(f"algorithm : {result.algorithm}")
     print(f"members   : {members}")
     print(f"size      : {result.size}")

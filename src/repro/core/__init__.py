@@ -15,7 +15,8 @@ Algorithm         Approximation       Entry point
 ================  ==================  =============================================
 
 All algorithms share the same signature style — ``(graph, query, k, ...)`` —
-and return a :class:`~repro.core.result.SACResult` describing the community,
+and return a :class:`~repro.core.result.SACResult` describing the community
+(its members as one sorted read-only array, :class:`~repro.core.result.Members`),
 its minimum covering circle, and bookkeeping statistics.  The
 :class:`~repro.core.searcher.SACSearcher` facade dispatches by algorithm name
 and handles label translation.
@@ -26,11 +27,12 @@ from repro.core.appfast import app_fast
 from repro.core.appinc import app_inc
 from repro.core.exact import exact
 from repro.core.exact_plus import exact_plus
-from repro.core.result import SACResult
+from repro.core.result import Members, SACResult
 from repro.core.searcher import ALGORITHMS, SACSearcher
 from repro.core.theta import theta_sac
 
 __all__ = [
+    "Members",
     "SACResult",
     "exact",
     "exact_plus",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -49,10 +49,12 @@ class AppAccState:
 
     Exact+ re-uses AppAcc's traversal: it needs the best community found, the
     surviving anchor points of the last quadtree level, the final cell width,
-    and the candidate set restricted to ``O(q, 2 * gamma)``.
+    and the candidate set restricted to ``O(q, 2 * gamma)``.  The community
+    is kept as the probe handed it over: a sorted array or
+    :class:`~repro.core.result.Members`.
     """
 
-    community: Set[int]
+    community: Collection[int]
     radius: float
     delta: float
     gamma: float
@@ -100,7 +102,7 @@ def app_acc(
         circle = minimum_enclosing_circle(
             [(float(coords[v, 0]), float(coords[v, 1])) for v in members]
         )
-        return SACResult("appacc", query, k, frozenset(members), circle, {"epsilon_a": epsilon_a})
+        return SACResult("appacc", query, k, members, circle, {"epsilon_a": epsilon_a})
 
     context = resolve_context(graph, query, k, context)
     state = run_app_acc(context, epsilon_a)
@@ -135,7 +137,7 @@ def run_app_acc(context: QueryContext, epsilon_a: float) -> AppAccState:
     seed = app_fast(graph, context.query, context.k, epsilon_f=0.0, context=context.fresh())
     delta = float(seed.stats["delta"])
     gamma = float(seed.radius)
-    best_community: Set[int] = set(seed.members)
+    best_community = seed.members
     best_radius = gamma
 
     if gamma <= 0.0 or delta <= 0.0:
@@ -205,7 +207,7 @@ def run_app_acc(context: QueryContext, epsilon_a: float) -> AppAccState:
             mcc = context.mcc_of(members)
             if mcc.radius < state.radius:
                 state.radius = mcc.radius
-                state.community = {int(v) for v in members}
+                state.community = members
         if level_anchors:
             last_level_anchors = level_anchors
 

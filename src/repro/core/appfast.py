@@ -68,13 +68,13 @@ def app_fast(
         circle = minimum_enclosing_circle(
             [(float(coords[v, 0]), float(coords[v, 1])) for v in members]
         )
-        return SACResult("appfast", query, k, frozenset(members), circle, {"delta": circle.diameter})
+        return SACResult("appfast", query, k, members, circle, {"delta": circle.diameter})
 
     context = resolve_context(graph, query, k, context)
     members, delta, iterations = _binary_search_radius(context, epsilon_f)
     result = context.make_result(
         "appfast",
-        {int(v) for v in members},
+        members,
         {"delta": delta, "binary_search_iterations": iterations, "epsilon_f": epsilon_f},
     )
     result.stats["gamma"] = result.radius

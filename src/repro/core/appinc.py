@@ -66,7 +66,7 @@ def app_inc(
             "appinc",
             query,
             k,
-            frozenset(members),
+            members,
             circle,
             {
                 "delta": circle.diameter,

@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.result import SACResult
+from repro.core.result import Members, SACResult
 from repro.exceptions import InvalidParameterError, NoCommunityError, VertexNotFoundError
 from repro.geometry.circle import Circle
 from repro.geometry.grid import CircleScan, GridIndex
@@ -464,12 +464,14 @@ class QueryContext:
     def mcc_of(self, members) -> Circle:
         """Minimum covering circle of the locations of ``members``.
 
-        Accepts any iterable of vertex indices (set or int64 array); the
-        members are passed to the MEC in ascending index order so the result
-        is deterministic regardless of the container.  Each distinct member
-        set is measured once per query.
+        Accepts any iterable of vertex indices (a probe's int64 array,
+        :class:`Members`, a set); the members are passed to the MEC in
+        ascending index order so the result is deterministic regardless of
+        the container.  Each distinct member set is measured once per query.
         """
-        if isinstance(members, np.ndarray):
+        if isinstance(members, Members):
+            arr = members.array.astype(np.int64)
+        elif isinstance(members, np.ndarray):
             arr = np.sort(members.astype(np.int64, copy=False))
         else:
             arr = np.sort(np.fromiter((int(v) for v in members), dtype=np.int64))
@@ -481,9 +483,14 @@ class QueryContext:
         return circle
 
     def make_result(
-        self, algorithm: str, members: Set[int], stats: Optional[Dict[str, float]] = None
+        self, algorithm: str, members, stats: Optional[Dict[str, float]] = None
     ) -> SACResult:
-        """Wrap a member set into an :class:`SACResult` with its MCC."""
+        """Wrap a member set into an :class:`SACResult` with its MCC.
+
+        ``members`` is a probe's sorted array or any other iterable
+        :class:`Members` is built from.  The MEC is looked up under the
+        same key the query's probes measured it with.
+        """
         stats = dict(stats or {})
         stats.setdefault("feasibility_checks", self.feasibility_checks)
         stats.setdefault("candidate_set_size", len(self.candidates))
@@ -491,7 +498,7 @@ class QueryContext:
             algorithm=algorithm,
             query=self.query,
             k=self.k,
-            members=frozenset(members),
+            members=Members(members),
             circle=self.mcc_of(members),
             stats=stats,
         )

@@ -65,7 +65,7 @@ def exact(
         circle = minimum_enclosing_circle(
             [(float(coords[v, 0]), float(coords[v, 1])) for v in members]
         )
-        return SACResult("exact", query, k, frozenset(members), circle, {})
+        return SACResult("exact", query, k, members, circle, {})
 
     context = resolve_context(graph, query, k, context)
     if max_candidates is not None and len(context.candidates) > max_candidates:

@@ -86,12 +86,12 @@ def exact_plus(
         circle = minimum_enclosing_circle(
             [(float(coords[v, 0]), float(coords[v, 1])) for v in members]
         )
-        return SACResult("exact+", query, k, frozenset(members), circle, {})
+        return SACResult("exact+", query, k, members, circle, {})
 
     context = resolve_context(graph, query, k, context)
     state = run_app_acc(context, epsilon_a)
 
-    best_members: Set[int] = set(state.community)
+    best_members = state.community
     best_radius = state.radius
     coords = graph.coordinates
 
@@ -131,7 +131,7 @@ def exact_plus(
             triples_examined += 1
             improved = _probe_circle(context, circle.center.x, circle.center.y, circle.radius)
             if improved is not None and improved[1] < best_radius:
-                best_members, best_radius = {int(v) for v in improved[0]}, improved[1]
+                best_members, best_radius = improved
 
     # ------------------------------------------------ triple enumeration
     for v1 in f1:
@@ -157,7 +157,7 @@ def exact_plus(
                     context, circle.center.x, circle.center.y, circle.radius
                 )
                 if improved is not None and improved[1] < best_radius:
-                    best_members, best_radius = {int(v) for v in improved[0]}, improved[1]
+                    best_members, best_radius = improved
 
     stats = {
         "fixed_vertex_candidates": len(f1),

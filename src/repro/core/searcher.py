@@ -125,5 +125,5 @@ class SACSearcher:
         return result
 
     def member_labels(self, result: SACResult) -> list:
-        """Translate a result's member indices back to user-facing labels."""
-        return [self.graph.label_of(v) for v in sorted(result.members)]
+        """A result's member labels, in ascending internal-index order."""
+        return self.graph.labels_of(result.members.array)

@@ -79,6 +79,10 @@ class SpatialGraph:
         ]
         self._row_source: Optional[np.ndarray] = None
         self._coords = coords
+        # What :meth:`labels_of` needs: whether the labels are the indices
+        # themselves, else the lookup array it indexes (built on first use).
+        self._identity_labels = labels is None
+        self._label_table: Optional[np.ndarray] = None
         if labels is None:
             labels = list(range(coords.shape[0]))
         if len(labels) != coords.shape[0]:
@@ -197,6 +201,8 @@ class SpatialGraph:
         graph._coords = coords
         graph._labels = list(labels) if labels is not None else list(range(n))
         graph._label_to_index = None
+        graph._identity_labels = labels is None
+        graph._label_table = None
         graph._degrees = np.subtract(indptr[1:], indptr[:-1])
         graph._edge_count = int(indices64.size) // 2
         graph._csr = (indptr, indices64)
@@ -261,10 +267,41 @@ class SpatialGraph:
             raise VertexNotFoundError(label) from None
 
     def label_of(self, index: int) -> Label:
-        """Translate an internal vertex index into its user-facing label."""
+        """Translate an internal vertex index into its user-facing label.
+
+        A numpy scalar label comes back as the plain Python value, as
+        :meth:`labels_of` gives it, so every label a response carries can
+        go into ``json.dumps``.
+        """
         if not 0 <= index < self.num_vertices:
             raise VertexNotFoundError(index)
-        return self._labels[index]
+        label = self._labels[index]
+        return label.item() if isinstance(label, np.generic) else label
+
+    def labels_of(self, indices) -> List[Label]:
+        """Translate internal vertex indices into labels, in the order given.
+
+        ``[label_of(v) for v in indices]`` as one lookup: ``indices`` is any
+        integer array or sequence (a result's ``members.array``, a list).
+        The labels come back as plain Python objects — integer labels as
+        ``int``, never numpy scalars — so the list goes straight into
+        ``json.dumps``.  Identity labels cost one ``tolist``; other labels
+        index an array built once per graph.
+        """
+        array = np.asarray(indices)
+        if array.dtype.kind not in "iu":
+            if array.size:
+                raise TypeError(f"vertex indices must be integers, got dtype {array.dtype}")
+            array = array.astype(np.int64)
+        if array.size and (array.min() < 0 or array.max() >= self.num_vertices):
+            outside = array[(array < 0) | (array >= self.num_vertices)]
+            raise VertexNotFoundError(int(outside[0]))
+        if not self._identity_labels and self._label_table is None:
+            self._label_table = _label_lookup(self._labels)
+            self._identity_labels = self._label_table is None
+        if self._identity_labels:
+            return array.tolist()
+        return self._label_table[array].tolist()
 
     def labels(self) -> List[Label]:
         """Return the list of vertex labels (index order)."""
@@ -548,3 +585,27 @@ class SpatialGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"SpatialGraph(n={self.num_vertices}, m={self.num_edges})"
+
+
+def _label_lookup(labels: Sequence[Label]) -> Optional[np.ndarray]:
+    """The array :meth:`SpatialGraph.labels_of` indexes, or ``None`` for identity labels.
+
+    Integer labels (``bool`` excluded) become one ``int64`` array, so their
+    ``tolist`` yields plain ``int``; any other labels an object array
+    holding the labels as :meth:`SpatialGraph.label_of` returns them.
+    """
+    integral = all(
+        isinstance(label, (int, np.integer)) and not isinstance(label, (bool, np.bool_))
+        for label in labels
+    )
+    if integral:
+        if all(type(label) is int and label == index for index, label in enumerate(labels)):
+            return None
+        try:
+            return np.array([int(label) for label in labels], dtype=np.int64)
+        except OverflowError:
+            pass
+    table = np.empty(len(labels), dtype=object)
+    for index, label in enumerate(labels):
+        table[index] = label.item() if isinstance(label, np.generic) else label
+    return table

@@ -1165,8 +1165,14 @@ class SACServer(HttpServer):
         params: Tuple[Tuple[str, float], ...] = (),
         deadline_ms: Optional[float] = None,
         arrived: Optional[float] = None,
+        label=None,
     ) -> Tuple[int, dict]:
         """Build one query's JSON answer out of its batch's outcome.
+
+        ``members`` lists the member labels in ascending internal-index
+        order, encoded from the result's member array in one
+        :meth:`~repro.graph.SpatialGraph.labels_of` lookup.  ``label`` is
+        the query vertex's label when the caller already has it.
 
         Every answer reports ``algorithm_used`` and its approximation
         ``bound`` (the deadline ladder may have answered below the requested
@@ -1178,7 +1184,8 @@ class SACServer(HttpServer):
         wall clock, which NTP may step mid-request.
         """
         graph = self.service.graph
-        label = graph.label_of(vertex)
+        if label is None:
+            label = graph.label_of(vertex)
         if vertex in batch.errors:
             return error_payload(400, batch.errors[vertex])
         result = batch.results.get(vertex)
@@ -1203,7 +1210,7 @@ class SACServer(HttpServer):
                 "size": result.size,
                 "radius": result.radius,
                 "center": [result.circle.center.x, result.circle.center.y],
-                "members": [graph.label_of(v) for v in sorted(result.members)],
+                "members": graph.labels_of(result.members.array),
             }
         if deadline_ms is not None:
             late = bool(batch.deadline_missed.get(vertex, False))
@@ -1272,18 +1279,20 @@ class SACServer(HttpServer):
             self._release(lane, len(vertices))
         results = {}
         algorithms_used: Dict[str, int] = {}
-        for vertex in dict.fromkeys(vertices):
-            if vertex in batch.results:
-                _, payload = self._result_payload(
-                    vertex, batch, k, params, deadline_ms, arrived
-                )
-                results[str(graph.label_of(vertex))] = payload
-                rung = batch.results[vertex].algorithm
-                algorithms_used[rung] = algorithms_used.get(rung, 0) + 1
+        answered = [vertex for vertex in dict.fromkeys(vertices) if vertex in batch.results]
+        for vertex, label in zip(answered, graph.labels_of(answered)):
+            _, payload = self._result_payload(
+                vertex, batch, k, params, deadline_ms, arrived, label
+            )
+            results[str(label)] = payload
+            rung = batch.results[vertex].algorithm
+            algorithms_used[rung] = algorithms_used.get(rung, 0) + 1
         response = {
             "answered": batch.answered,
-            "failed": [graph.label_of(v) for v in batch.failed],
-            "errors": {str(graph.label_of(v)): msg for v, msg in batch.errors.items()},
+            "failed": graph.labels_of(batch.failed),
+            "errors": dict(
+                zip(map(str, graph.labels_of(list(batch.errors))), batch.errors.values())
+            ),
             "cache_hits": batch.cache_hits,
             "elapsed_seconds": batch.elapsed_seconds,
             "algorithms_used": algorithms_used,
@@ -1344,7 +1353,7 @@ class SACServer(HttpServer):
             "op": op,
             "u": graph.label_of(u),
             "v": graph.label_of(v),
-            "cores_changed": [graph.label_of(int(w)) for w in changed],
+            "cores_changed": graph.labels_of(changed),
             "lsn": lsn,
         }
 

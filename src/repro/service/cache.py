@@ -28,18 +28,19 @@ Two classes of answers are deliberately not cached:
   no component, so nothing would version-guard the "no" once edge updates
   start promoting vertices.
 
-Each entry keeps its members as one sorted ``int32`` array, not the result's
-frozenset of Python ints (about 2.4 KiB for 600 members instead of about
-45 KiB); a hit rebuilds the frozenset.
+An entry keeps the result itself: its members are one sorted, read-only
+``int32`` array (:class:`~repro.core.result.Members`, about 2.4 KiB for 600
+members), which every hit hands out as it is.  Besides the entry count the
+cache is bounded in bytes: each entry is charged its member array plus
+``_ENTRY_OVERHEAD``, and least recently used entries are evicted while the
+total is above ``_CACHE_BYTES``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.result import SACResult
 from repro.engine import QueryEngine
@@ -47,6 +48,15 @@ from repro.exceptions import InvalidParameterError, NoCommunityError
 
 #: Full cache key: engine token, query vertex, k, algorithm, sorted params.
 CacheKey = Tuple[int, int, int, str, Tuple[Tuple[str, float], ...]]
+
+#: Bytes the cached answers may be charged in all.  Sacbench's read-zipf
+#: fills the 4,096-entry bound with gowalla answers of about 600 members,
+#: about 14 MiB; answers a hundred times larger are evicted by this cap long
+#: before the entry bound.
+_CACHE_BYTES = 64 << 20
+#: What one entry costs beyond its member array: the key, the result, its
+#: circle and stats dict, and the ordered-dict slot, rounded up.
+_ENTRY_OVERHEAD = 1024
 
 
 def versioned(k: int) -> bool:
@@ -83,11 +93,15 @@ class CacheStats:
         Entries dropped at lookup time because their component's version had
         moved (or the query vertex left its component entirely).
     stores / evictions:
-        Answers written, and answers pushed out by the LRU capacity bound.
+        Answers written, and answers pushed out by the LRU bounds (the
+        entry count or the byte cap).
     uncacheable:
         Lookups *and* stores skipped because the answer class is never
         cached (``k == 1``), so ``hits + misses + uncacheable`` exceeds the
         lookup count by the refused stores.
+    nbytes:
+        Bytes charged for the entries held now (member arrays plus a fixed
+        per-entry overhead); never above ``_CACHE_BYTES``.
     """
 
     hits: int = 0
@@ -96,6 +110,7 @@ class CacheStats:
     stores: int = 0
     evictions: int = 0
     uncacheable: int = 0
+    nbytes: int = 0
 
 
 class AnswerCache:
@@ -105,7 +120,7 @@ class AnswerCache:
     ----------
     capacity:
         Maximum number of cached answers; the least recently used entry is
-        evicted beyond it.
+        evicted beyond it, and beyond ``_CACHE_BYTES`` charged bytes.
 
     Examples
     --------
@@ -121,9 +136,9 @@ class AnswerCache:
             )
         self.capacity = capacity
         self.stats = CacheStats()
-        # key -> (result minus its members, the members as a sorted int32
-        # array, representative, component version at store time)
-        self._entries: "OrderedDict[CacheKey, Tuple[SACResult, np.ndarray, int, int]]" = OrderedDict()
+        # key -> (result with a private stats dict, representative, component
+        # version at store time, bytes charged)
+        self._entries: "OrderedDict[CacheKey, Tuple[SACResult, int, int, int]]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -229,8 +244,8 @@ class AnswerCache:
             entry = self._entries.get(self._key(engine, query, k, algorithm, params))
             if (
                 entry is None
-                or entry[2] != int(representative)
-                or entry[3] != int(version)
+                or entry[1] != int(representative)
+                or entry[2] != int(version)
             ):
                 misses.append(query)
         return misses
@@ -282,7 +297,7 @@ class AnswerCache:
             key = self._key(engine, query, k, algorithm, params)
             entry = self._entries.get(key)
             try:
-                fresh = entry is not None and entry[2:] == (
+                fresh = entry is not None and entry[1:3] == (
                     stamp or component_stamp(engine, query, k)
                 )
             except NoCommunityError:
@@ -292,13 +307,13 @@ class AnswerCache:
                 self.stats.hits += 1
                 # Fresh stats dict per hit: SACResult is frozen but its stats
                 # dict is not, and a caller writing into it must never
-                # corrupt the cached copy (or other callers' hits).
-                hits[query] = replace(
-                    entry[0], members=frozenset(entry[1].tolist()), stats=dict(entry[0].stats)
-                )
+                # corrupt the cached copy (or other callers' hits).  The
+                # members are read-only and shared.
+                hits[query] = _copy(entry[0])
                 continue
             if entry is not None:
                 del self._entries[key]
+                self.stats.nbytes -= entry[3]
                 self.stats.invalidations += 1
             self.stats.misses += 1
             misses.append(query)
@@ -317,16 +332,26 @@ class AnswerCache:
         if not versioned(k):
             self.stats.uncacheable += len(results)
             return
+        entries, stats = self._entries, self.stats
         for query, result in results.items():
             key = self._key(engine, query, k, algorithm, params)
-            members = np.sort(np.fromiter(result.members, np.int32, len(result.members)))
-            self._entries[key] = (
-                replace(result, members=frozenset(), stats=dict(result.stats)),
-                members,
-                *(stamp or component_stamp(engine, query, k)),
+            charge = result.members.array.nbytes + _ENTRY_OVERHEAD
+            previous = entries.pop(key, None)
+            if previous is not None:
+                stats.nbytes -= previous[3]
+            entries[key] = (
+                _copy(result), *(stamp or component_stamp(engine, query, k)), charge
             )
-            self._entries.move_to_end(key)
-            self.stats.stores += 1
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+            stats.nbytes += charge
+            stats.stores += 1
+        while len(entries) > self.capacity or stats.nbytes > _CACHE_BYTES:
+            stats.nbytes -= entries.popitem(last=False)[1][3]
+            stats.evictions += 1
+
+
+def _copy(result: SACResult) -> SACResult:
+    """``result`` with a private stats dict; the members are shared."""
+    return SACResult(
+        result.algorithm, result.query, result.k, result.members, result.circle,
+        dict(result.stats),
+    )

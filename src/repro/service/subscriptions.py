@@ -54,8 +54,10 @@ from dataclasses import asdict, dataclass, field
 from time import monotonic
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.base import validate_query
-from repro.core.result import SACResult
+from repro.core.result import Members, SACResult
 from repro.exceptions import NoCommunityError
 from repro.service.cache import component_stamp, versioned
 from repro.service.slo import approximation_bound, params_for
@@ -66,6 +68,8 @@ ParamsKey = Tuple[Tuple[str, float], ...]
 
 #: One re-evaluated standing query: its answer, ``(k, rep)`` key, version.
 _Answer = Tuple["Subscription", Optional[SACResult], Optional[Tuple[int, int]], int]
+#: The member array of a "no community" state.
+_NO_MEMBERS = Members().array
 
 
 @dataclass
@@ -461,7 +465,7 @@ class SubscriptionRegistry:
         graph = self._service.graph
         result = sub.result
         found = result is not None
-        members = result.members if found else frozenset()
+        members = result.members.array if found else _NO_MEMBERS
         center = result.circle.center if found else None
         message = {
             "type": kind,
@@ -470,7 +474,7 @@ class SubscriptionRegistry:
             "found": found,
             "query": graph.label_of(sub.vertex),
             "k": sub.k,
-            "size": len(members),
+            "size": int(members.size),
             "radius": float(result.radius) if found else None,
             "center": [float(center.x), float(center.y)] if found else None,
             "algorithm_used": result.algorithm if found else None,
@@ -483,12 +487,14 @@ class SubscriptionRegistry:
             "lsn": sub.lsn,
         }
         if kind == "delta":
-            before = previous.members if previous is not None else frozenset()
-            message["added"] = [graph.label_of(v) for v in sorted(members - before)]
-            message["removed"] = [graph.label_of(v) for v in sorted(before - members)]
+            before = previous.members.array if previous is not None else _NO_MEMBERS
+            added = np.setdiff1d(members, before, assume_unique=True)
+            removed = np.setdiff1d(before, members, assume_unique=True)
+            message["added"] = graph.labels_of(added)
+            message["removed"] = graph.labels_of(removed)
         else:
             message["algorithm"] = sub.algorithm
-            message["members"] = [graph.label_of(v) for v in sorted(members)]
+            message["members"] = graph.labels_of(members)
         return message
 
     def _index(self, sub: Subscription) -> None:

@@ -1,5 +1,6 @@
 """Unit tests for the SpatialGraph data structure."""
 
+import json
 import math
 
 import numpy as np
@@ -102,6 +103,58 @@ class TestBasicAccessors:
         edges = list(graph.edges())
         assert len(edges) == 4
         assert all(u < v for u, v in edges)
+
+
+def _path_graph(labels=None) -> SpatialGraph:
+    coords = np.arange(8, dtype=float).reshape(4, 2)
+    adjacency = [np.array([1]), np.array([0, 2]), np.array([1, 3]), np.array([2])]
+    return SpatialGraph(adjacency, coords, labels)
+
+
+class TestLabelsOf:
+    @pytest.mark.parametrize(
+        "labels",
+        [None, [0, 1, 2, 3], [13, 12, 11, 10], ["d", "c", "b", "a"], [("t", 1), 7, "x", 2.5]],
+    )
+    def test_matches_label_of_in_the_order_given(self, labels):
+        graph = _path_graph(labels)
+        for indices in ([2, 0, 3], np.array([3, 1], dtype=np.int32), np.arange(4), []):
+            assert graph.labels_of(indices) == [graph.label_of(int(v)) for v in indices]
+
+    def test_labels_come_back_as_plain_python_values(self):
+        numpy_labels = (
+            [np.int64(v) for v in (5, 6, 7, 8)],
+            [np.int32(5), "b", np.float64(0.5), np.bool_(True)],
+        )
+        for labels in (None, [13, 12, 11, 10], *numpy_labels):
+            graph = _path_graph(labels)
+            out = graph.labels_of(np.array([3, 0], dtype=np.int64))
+            singles = [graph.label_of(v) for v in range(4)]
+            for label in out + singles:
+                assert not isinstance(label, np.generic), labels
+            json.dumps(out + singles)
+
+    def test_integral_bools_are_not_identity(self):
+        graph = SpatialGraph(
+            [np.array([1]), np.array([0])], np.zeros((2, 2)), labels=[False, True]
+        )
+        assert graph.labels_of([1, 0]) == [True, False]
+
+    def test_store_attached_labels(self):
+        graph = _path_graph([13, 12, 11, 10])
+        attached = SpatialGraph.attach_arrays(graph.export_arrays(), labels=graph.labels())
+        assert attached.labels_of(np.array([0, 3])) == [13, 10]
+        identity = SpatialGraph.attach_arrays(graph.export_arrays())
+        assert identity.labels_of(np.array([0, 3])) == [0, 3]
+
+    @pytest.mark.parametrize("bad", [[4], [-1], [0, 9]])
+    def test_out_of_range_raises(self, bad):
+        with pytest.raises(VertexNotFoundError):
+            _path_graph(["a", "b", "c", "d"]).labels_of(bad)
+
+    def test_non_integer_indices_refused(self):
+        with pytest.raises(TypeError):
+            _path_graph().labels_of([0.5])
 
 
 class TestGeometryAccessors:

@@ -17,7 +17,10 @@ from repro.engine import IncrementalEngine, QueryEngine
 from repro.exceptions import InvalidParameterError, NoCommunityError
 from repro.experiments.queries import select_query_vertices
 from repro.engine.plan import plan_batch
+from repro.core.result import SACResult
+from repro.geometry.circle import Circle
 from repro.service import AnswerCache, SACService
+from repro.service.cache import _CACHE_BYTES, _ENTRY_OVERHEAD
 from repro.service.sharding import run_plan
 from repro.testing.strategies import random_spatial_graph
 
@@ -115,6 +118,54 @@ class TestAnswerCache:
         assert cache.stats.evictions == 1
         assert cache.lookup(engine, queries[0], 4, "appfast", {}) is None
         assert cache.lookup(engine, queries[2], 4, "appfast", {}) is not None
+
+    def test_hit_shares_the_stored_member_array(self, graph, queries):
+        engine = QueryEngine(graph)
+        cache = AnswerCache()
+        result = engine.search(queries[0], 4, algorithm="appfast")
+        cache.store(engine, queries[0], 4, "appfast", {}, result)
+        hit = cache.lookup(engine, queries[0], 4, "appfast", {})
+        assert hit.members is result.members
+        assert not hit.members.array.flags.writeable
+        assert cache.stats.nbytes == result.members.array.nbytes + _ENTRY_OVERHEAD
+
+    def test_byte_cap_bounds_answers_far_larger_than_gowallas(self, graph):
+        # Gowalla's AppFast answers hold about 600 members; these hold
+        # 50,000.  One member array is shared by every entry, so the test
+        # stays small while the cache is charged the full size of each.
+        engine = QueryEngine(graph)
+        cache = AnswerCache()
+        big = SACResult(
+            "appfast", 0, 4, np.arange(50_000), Circle.from_xy(0.0, 0.0, 1.0), {}
+        )
+        charge = big.members.array.nbytes + _ENTRY_OVERHEAD
+        stored = 3 * _CACHE_BYTES // charge
+        stamp = {"representative": 0, "version": 0}
+        for start in range(0, stored, 32):
+            group = {q: big for q in range(start, min(start + 32, stored))}
+            cache.store_group(engine, group, 4, "appfast", {}, **stamp)
+            assert cache.stats.nbytes <= _CACHE_BYTES
+        assert cache.stats.nbytes == len(cache) * charge
+        assert len(cache) == _CACHE_BYTES // charge < cache.capacity
+        assert cache.stats.evictions == stored - len(cache)
+        recent = list(range(stored - 32, stored))
+        hits, misses = cache.lookup_group(engine, recent, 4, "appfast", {}, **stamp)
+        assert not misses and set(hits) == set(recent)
+        assert cache.lookup_group(engine, [0], 4, "appfast", {}, **stamp)[1] == [0]
+
+    def test_invalidation_releases_its_bytes(self):
+        rng = np.random.default_rng(41)
+        graph, _ = random_spatial_graph(rng, 60, 150)
+        engine = IncrementalEngine(graph)
+        cache = AnswerCache()
+        labels, _count = engine.component_labels(2)
+        query = next(q for q in range(60) if labels[q] >= 0)
+        cache.store(engine, query, 2, "appfast", {}, engine.search(query, 2))
+        cache.store(engine, query, 2, "appfast", {}, engine.search(query, 2))
+        assert len(cache) == 1 and cache.stats.nbytes > 0
+        engine.apply_checkin(query, 0.99, 0.99)
+        assert cache.lookup(engine, query, 2, "appfast", {}) is None
+        assert cache.stats.nbytes == 0
 
     def test_invalid_capacity(self):
         with pytest.raises(InvalidParameterError):
