@@ -336,6 +336,15 @@ class QueryEngine:
         """Warm the shared caches for degree threshold ``k``; returns #components."""
         return self.component_labels(k)[1]
 
+    def labelled(self, k: int) -> bool:
+        """Whether the k-ĉore labelling is built: a pure probe, it builds nothing.
+
+        While it holds, :meth:`component_of` and :meth:`component_version`
+        are array and dict reads, cheap enough for the serving daemon's
+        event loop.
+        """
+        return k in self._reps
+
     def component_of(self, query: int, k: int) -> Tuple[int, int]:
         """Return ``(component id, representative)`` of ``query``'s k-ĉore.
 

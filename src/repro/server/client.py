@@ -6,7 +6,7 @@ protocol of :class:`repro.server.daemon.SACServer`.  One
 thread-safe — concurrent callers (like the benchmark's load threads) each
 open their own client, exactly as concurrent network clients would.
 
-Used by ``tests/test_server.py``, ``benchmarks/bench_server_latency.py``,
+Used by ``tests/test_server.py``, the benchmarks that drive a live daemon,
 and the CI server-smoke job; it is also the reference for what any other
 client (``curl``, a browser, a service mesh probe) should send — see
 ``docs/serving.md`` for the request/response schemas.

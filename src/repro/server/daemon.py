@@ -1,7 +1,7 @@
 """The long-lived SAC serving daemon: micro-batched queries over one service.
 
 :class:`SACServer` turns the :class:`repro.service.SACService` facade into a
-network server.  Three ideas organise it:
+network server.  These ideas organise it:
 
 * **Micro-batching** — concurrent ``POST /query`` requests are not executed
   one by one: each query joins a pending group keyed by
@@ -22,6 +22,11 @@ network server.  Three ideas organise it:
   pre-mutation graph, queries received after against the post-mutation
   graph, and the engine's component-version counters invalidate exactly
   the cached answers the mutation could have changed.
+* **Cache hits on the event loop** — while no job that can change an
+  answer (anything but a read batch) is queued or running, a best-effort
+  ``/query`` whose answer the cache holds fresh is answered on the event
+  loop with no engine job, so a hit never waits behind a miss.  A hit that
+  arrives behind a mutation takes the engine path and sees it.
 * **SLO serving** — a request carrying ``deadline_ms`` (or a server-wide
   ``--default-deadline-ms``) rides the **deadline lane**: its micro-batch
   group jumps ahead of queued best-effort batches (never ahead of
@@ -306,7 +311,10 @@ class BatcherStats:
     coalesced queries that repeated a vertex already pending in the same
     group — the occurrences the batch plan answers by fan-out instead of
     recomputation (the engine-side twin is
-    ``EngineStats.queries_deduped``).
+    ``EngineStats.queries_deduped``).  ``cache_hits_on_loop`` counts
+    best-effort queries answered from the answer cache on the event loop;
+    they join no group, take no admission slot, and are counted in no other
+    field here.
     """
 
     queries_coalesced: int = 0
@@ -321,6 +329,7 @@ class BatcherStats:
     queries_besteffort: int = 0
     rejected_deadline: int = 0
     rejected_besteffort: int = 0
+    cache_hits_on_loop: int = 0
 
 
 @dataclass
@@ -357,17 +366,19 @@ class _Job:
 
 
 class _JobQueue:
-    """Single-consumer FIFO job queue with a deadline fast lane.
+    """Single-consumer FIFO job queue with a deadline fast lane and fences.
 
     Drop-in for the ``asyncio.Queue`` subset the writer uses
-    (``put_nowait`` / ``get`` / ``task_done`` / ``join``), plus ``idle`` and
-    one twist: a job enqueued with ``urgent=True`` is inserted ahead of the
-    queued **best-effort batch** jobs but never ahead of another urgent job
-    (deadline traffic stays FIFO among itself) and never ahead of a
-    ``mutate`` / ``snapshot`` job.  Mutations are fences: reads may be
-    reordered among reads between two fences without changing any answer
-    (they don't mutate the graph), so the daemon's bit-identity-to-
-    arrival-order guarantee survives the fast lane.
+    (``put_nowait`` / ``get`` / ``task_done`` / ``join``), plus ``idle``,
+    ``fenced`` and one twist: a job enqueued with ``urgent=True`` is
+    inserted ahead of the queued **best-effort batch** jobs but never ahead
+    of another urgent job (deadline traffic stays FIFO among itself) and
+    never ahead of a ``mutate`` / ``snapshot`` job.  Every job that is not a
+    read batch is a fence: reads may be reordered among reads between two
+    fences without changing any answer (they don't mutate the graph), so the
+    daemon's bit-identity-to-arrival-order guarantee survives the fast lane
+    — and survives a cache hit answered on the event loop while no fence is
+    queued or running (:meth:`fenced`).
     """
 
     def __init__(self) -> None:
@@ -378,6 +389,9 @@ class _JobQueue:
         self._all_done = asyncio.Event()
         self._all_done.set()
         self._unfinished = 0
+        # Fences queued or running: +1 at enqueue, -1 once the writer has
+        # finished the job, whatever became of the request that asked.
+        self._fences = 0
 
     def put_nowait(self, job: _Job, *, urgent: bool = False) -> None:
         """Enqueue ``job``; ``urgent`` jobs overtake queued best-effort batches."""
@@ -393,6 +407,8 @@ class _JobQueue:
             self._jobs.insert(index, job)
         else:
             self._jobs.append(job)
+        if job.kind != "batch":
+            self._fences += 1
         self._unfinished += 1
         self._all_done.clear()
         self._not_empty.set()
@@ -404,8 +420,10 @@ class _JobQueue:
             await self._not_empty.wait()
         return self._jobs.popleft()
 
-    def task_done(self) -> None:
-        """Mark one dequeued job finished (for :meth:`join`)."""
+    def task_done(self, job: _Job) -> None:
+        """Mark dequeued ``job`` finished (for :meth:`join`), lifting its fence."""
+        if job.kind != "batch":
+            self._fences -= 1
         self._unfinished -= 1
         if self._unfinished <= 0:
             self._all_done.set()
@@ -417,6 +435,10 @@ class _JobQueue:
     def idle(self) -> bool:
         """Whether no job is queued or running (every job marked done)."""
         return self._unfinished == 0
+
+    def fenced(self) -> bool:
+        """Whether a job that can change an answer is queued or running."""
+        return self._fences > 0
 
 
 class HttpServer:
@@ -554,6 +576,20 @@ class HttpServer:
                 # streaming; the connection is dedicated to it from here on.
                 await self._stream_subscription(writer, payload)
                 return
+            if not isinstance(payload, bytes):
+                # Encoded before writing: a payload json refuses (a label it
+                # cannot encode) is answered with a 500, and the connection
+                # lives on.
+                try:
+                    payload = json.dumps(payload).encode("utf-8")
+                except (TypeError, ValueError) as error:
+                    print(
+                        f"server: cannot encode the response to {request.method} "
+                        f"{request.path}: {error!r}",
+                        file=sys.stderr,
+                    )
+                    status, payload = error_payload(500, "internal server error")
+                    headers = {}
             keep_alive = request.keep_alive and not self._draining
             try:
                 await write_response(
@@ -706,8 +742,10 @@ class SACServer(HttpServer):
         self._idle = asyncio.Event()
         self._idle.set()
         # ONE engine thread: every submit_batch/mutation/snapshot runs here,
-        # serialised by the writer task, so the engine, its caches, and the
-        # answer cache are only ever touched single-threaded.
+        # serialised by the writer task, so the engine and its caches change
+        # on this thread only.  The event loop reads them too, between
+        # fences, to answer cache hits (_handle_query); the answer cache is
+        # locked for that.
         self._engine_thread = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="sac-engine"
         )
@@ -1015,7 +1053,7 @@ class SACServer(HttpServer):
                 if job.future is not None and not job.future.done():
                     job.future.set_result(outcome)
             finally:
-                self._jobs.task_done()
+                self._jobs.task_done(job)
             # Dispatch every group that coalesced while the job ran.
             # Unconditionally — even with more jobs queued — so a waiting
             # group is delayed by at most the jobs queued ahead of it now,
@@ -1224,6 +1262,13 @@ class SACServer(HttpServer):
     async def _handle_query(self, request: Request) -> Tuple[int, dict]:
         """``POST /query`` — one query, answered through a micro-batch.
 
+        A best-effort query whose answer the cache holds fresh is answered
+        here on the event loop, with no engine job, while no fence is
+        queued or running: then every mutation that arrived before it has
+        been applied and none after it has started, so the cached answer is
+        the one the serial order gives.  Behind a fence it takes the engine
+        path and sees the mutation.
+
         A ``deadline_ms`` (explicit or the server default) routes the query
         through the deadline lane: admission-checked, coalesced only with
         other deadline traffic, dispatched ahead of queued best-effort
@@ -1236,6 +1281,13 @@ class SACServer(HttpServer):
         k = self._parse_k(body)
         deadline_ms = self._parse_deadline(body)
         algorithm, params = self._parse_params(body, deadline=deadline_ms is not None)
+        if deadline_ms is None and not self._jobs.fenced():
+            result = self.service.cached(vertex, k, algorithm=algorithm, **dict(params))
+            if result is not None:
+                self.batcher_stats.cache_hits_on_loop += 1
+                return self._result_payload(
+                    vertex, BatchResult(results={vertex: result}), k, params
+                )
         lane = LANE_DEADLINE if deadline_ms is not None else LANE_BESTEFFORT
         self._admit(lane)
         arrived = self._clock()

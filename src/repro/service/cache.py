@@ -34,10 +34,27 @@ members), which every hit hands out as it is.  Besides the entry count the
 cache is bounded in bytes: each entry is charged its member array plus
 ``_ENTRY_OVERHEAD``, and least recently used entries are evicted while the
 total is above ``_CACHE_BYTES``.
+
+Threading contract
+------------------
+The serving daemon shares one cache between two threads: the engine thread,
+whose batches (the subscription registry's evaluations among them) look up
+and fill whole plan groups, and the event loop, which answers fresh hits
+through :meth:`AnswerCache.lookup_fresh`.  Every method is safe from any
+thread: one internal lock guards the entry map and :attr:`AnswerCache.stats`,
+and it is held only for dict work.  The live stamps of :meth:`~AnswerCache.lookup`
+and :meth:`~AnswerCache.store` are engine reads and are resolved before the
+lock is taken, so a lookup never waits behind a search or a labelling.  A
+stored entry is never mutated, so a hit may be copied after the lock is
+released.  The lock makes the cache consistent, not the stamps: a caller
+off the engine thread must read a component's stamp while no mutation is
+queued or running (the daemon's fence), or it may judge a stale entry
+fresh.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -57,6 +74,8 @@ _CACHE_BYTES = 64 << 20
 #: What one entry costs beyond its member array: the key, the result, its
 #: circle and stats dict, and the ordered-dict slot, rounded up.
 _ENTRY_OVERHEAD = 1024
+#: The stamp of a vertex outside every k-core: it matches no entry.
+_NO_STAMP = (-1, -1)
 
 
 def versioned(k: int) -> bool:
@@ -88,7 +107,9 @@ class CacheStats:
         Lookups answered from the cache.
     misses:
         Lookups that found no usable entry.  Uncacheable ``k == 1`` lookups
-        are *not* counted here — only in ``uncacheable``.
+        are *not* counted here — only in ``uncacheable`` — and neither are
+        the misses of :meth:`AnswerCache.lookup_fresh`, which counts only
+        its hits.
     invalidations:
         Entries dropped at lookup time because their component's version had
         moved (or the query vertex left its component entirely).
@@ -139,6 +160,9 @@ class AnswerCache:
         # key -> (result with a private stats dict, representative, component
         # version at store time, bytes charged)
         self._entries: "OrderedDict[CacheKey, Tuple[SACResult, int, int, int]]" = OrderedDict()
+        # Guards _entries and stats.  Re-entrant, so lookup_fresh can hold it
+        # across its peek and its counting lookup.
+        self._lock = threading.RLock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -172,8 +196,18 @@ class AnswerCache:
         entry and reports a miss, so a stale answer can never be served.
         The current view is resolved only when an entry exists.
         """
-        hits, _ = self._check(engine, [query], k, algorithm, params)
-        return hits.get(int(query))
+        query = int(query)
+        key = self._key(engine, query, k, algorithm, params)
+        stamp = None
+        with self._lock:
+            held = versioned(k) and key in self._entries
+        if held:
+            try:
+                stamp = component_stamp(engine, query, k)
+            except NoCommunityError:
+                stamp = _NO_STAMP  # the vertex left every k-core
+        hits, _ = self._check(engine, [query], k, algorithm, params, stamp)
+        return hits.get(query)
 
     def store(
         self,
@@ -190,7 +224,8 @@ class AnswerCache:
         caller who received ``result`` can annotate it freely without
         reaching into the cache.
         """
-        self._fill(engine, {int(query): result}, k, algorithm, params)
+        stamp = component_stamp(engine, query, k) if versioned(k) else None
+        self._fill(engine, {int(query): result}, k, algorithm, params, stamp)
 
     def lookup_group(
         self,
@@ -217,6 +252,33 @@ class AnswerCache:
         stamp = (int(representative), int(version))
         return self._check(engine, queries, k, algorithm, params, stamp)
 
+    def lookup_fresh(
+        self,
+        engine: QueryEngine,
+        query: int,
+        k: int,
+        algorithm: str,
+        params: Dict[str, float],
+        *,
+        representative: int,
+        version: int,
+    ) -> Optional[SACResult]:
+        """One query's answer if a fresh entry holds it, else ``None``.
+
+        A :meth:`peek_group`, then for a fresh entry a counting
+        :meth:`lookup_group`, under one hold of the lock, so no fill can
+        evict the entry between the two.  Only a hit is counted: a query
+        missed here counts once, in the :meth:`lookup_group` of the batch
+        that answers it later.  The daemon's event loop answers cache hits
+        through this.
+        """
+        stamp = {"representative": representative, "version": version}
+        with self._lock:
+            if self.peek_group(engine, [query], k, algorithm, params, **stamp):
+                return None
+            hits, _ = self.lookup_group(engine, [query], k, algorithm, params, **stamp)
+        return hits.get(int(query))
+
     def peek_group(
         self,
         engine: QueryEngine,
@@ -236,19 +298,18 @@ class AnswerCache:
         only the rung finally chosen does a real :meth:`lookup_group`.  A
         stale stamp counts as a miss here but the entry is left in place.
         """
+        queries = [int(query) for query in queries]
         if not versioned(k):
-            return [int(query) for query in queries]
-        misses: List[int] = []
-        for query in queries:
-            query = int(query)
-            entry = self._entries.get(self._key(engine, query, k, algorithm, params))
-            if (
-                entry is None
-                or entry[1] != int(representative)
-                or entry[2] != int(version)
-            ):
-                misses.append(query)
-        return misses
+            return queries
+        stamp = (int(representative), int(version))
+        keys = [self._key(engine, query, k, algorithm, params) for query in queries]
+        with self._lock:
+            entries = [self._entries.get(key) for key in keys]
+        return [
+            query
+            for query, entry in zip(queries, entries)
+            if entry is None or entry[1:3] != stamp
+        ]
 
     def store_group(
         self,
@@ -280,44 +341,41 @@ class AnswerCache:
         k: int,
         algorithm: str,
         params: Dict[str, float],
-        stamp: Optional[Tuple[int, int]] = None,
+        stamp: Optional[Tuple[int, int]],
     ) -> Tuple[Dict[int, SACResult], List[int]]:
         """The one stamp check: split ``queries`` into ``(hits, misses)``.
 
-        Entries are compared against ``stamp``, or — when it is ``None`` —
-        against the engine's live stamp of each query holding an entry (a
-        vertex that left every k-core is stale).  A stale entry is dropped.
+        Entries are compared against ``stamp``; a stale entry is dropped.
+        ``None`` means no stamp was resolved because no entry was held: an
+        entry found now was stored since, and is a miss that stays.
         """
-        hits: Dict[int, SACResult] = {}
-        misses: List[int] = []
+        queries = [int(query) for query in queries]
         if not versioned(k):
-            self.stats.uncacheable += len(queries)
-            return hits, [int(query) for query in queries]
-        for query in map(int, queries):
-            key = self._key(engine, query, k, algorithm, params)
-            entry = self._entries.get(key)
-            try:
-                fresh = entry is not None and entry[1:3] == (
-                    stamp or component_stamp(engine, query, k)
-                )
-            except NoCommunityError:
-                fresh = False
-            if fresh:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                # Fresh stats dict per hit: SACResult is frozen but its stats
-                # dict is not, and a caller writing into it must never
-                # corrupt the cached copy (or other callers' hits).  The
-                # members are read-only and shared.
-                hits[query] = _copy(entry[0])
-                continue
-            if entry is not None:
-                del self._entries[key]
-                self.stats.nbytes -= entry[3]
-                self.stats.invalidations += 1
-            self.stats.misses += 1
-            misses.append(query)
-        return hits, misses
+            with self._lock:
+                self.stats.uncacheable += len(queries)
+            return {}, queries
+        keys = [self._key(engine, query, k, algorithm, params) for query in queries]
+        found: Dict[int, SACResult] = {}
+        misses: List[int] = []
+        with self._lock:
+            entries, stats = self._entries, self.stats
+            for query, key in zip(queries, keys):
+                entry = entries.get(key)
+                if entry is not None and entry[1:3] == stamp:
+                    entries.move_to_end(key)
+                    stats.hits += 1
+                    found[query] = entry[0]
+                    continue
+                if entry is not None and stamp is not None:
+                    del entries[key]
+                    stats.nbytes -= entry[3]
+                    stats.invalidations += 1
+                stats.misses += 1
+                misses.append(query)
+        # Fresh stats dict per hit: SACResult is frozen but its stats dict is
+        # not, and a caller writing into it must never corrupt the cached
+        # copy (or other callers' hits).  The members are read-only and shared.
+        return {query: _copy(result) for query, result in found.items()}, misses
 
     def _fill(
         self,
@@ -326,27 +384,32 @@ class AnswerCache:
         k: int,
         algorithm: str,
         params: Dict[str, float],
-        stamp: Optional[Tuple[int, int]] = None,
+        stamp: Optional[Tuple[int, int]],
     ) -> None:
-        """The one fill: store ``results`` under ``stamp`` (or live stamps)."""
+        """The one fill: store ``results`` under ``stamp``, then evict LRU."""
         if not versioned(k):
-            self.stats.uncacheable += len(results)
+            with self._lock:
+                self.stats.uncacheable += len(results)
             return
-        entries, stats = self._entries, self.stats
-        for query, result in results.items():
-            key = self._key(engine, query, k, algorithm, params)
-            charge = result.members.array.nbytes + _ENTRY_OVERHEAD
-            previous = entries.pop(key, None)
-            if previous is not None:
-                stats.nbytes -= previous[3]
-            entries[key] = (
-                _copy(result), *(stamp or component_stamp(engine, query, k)), charge
+        staged = [
+            (
+                self._key(engine, query, k, algorithm, params),
+                (_copy(result), *stamp, result.members.array.nbytes + _ENTRY_OVERHEAD),
             )
-            stats.nbytes += charge
-            stats.stores += 1
-        while len(entries) > self.capacity or stats.nbytes > _CACHE_BYTES:
-            stats.nbytes -= entries.popitem(last=False)[1][3]
-            stats.evictions += 1
+            for query, result in results.items()
+        ]
+        with self._lock:
+            entries, stats = self._entries, self.stats
+            for key, entry in staged:
+                previous = entries.pop(key, None)
+                if previous is not None:
+                    stats.nbytes -= previous[3]
+                entries[key] = entry
+                stats.nbytes += entry[3]
+                stats.stores += 1
+            while len(entries) > self.capacity or stats.nbytes > _CACHE_BYTES:
+                stats.nbytes -= entries.popitem(last=False)[1][3]
+                stats.evictions += 1
 
 
 def _copy(result: SACResult) -> SACResult:

@@ -37,9 +37,9 @@ from repro.engine.plan import (
     plan_batch,
     resolve_cached,
 )
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, NoCommunityError
 from repro.graph.spatial_graph import SpatialGraph
-from repro.service.cache import AnswerCache, CacheStats
+from repro.service.cache import AnswerCache, CacheStats, component_stamp
 from repro.service.results import BatchResult
 from repro.service.sharding import run_plan
 from repro.service.slo import (
@@ -222,6 +222,30 @@ class SACService:
         # Unknown vertex / no community / per-query error: delegate to the
         # engine so the caller gets exactly the single-query exception.
         return self.engine.search(query, k, algorithm=algorithm, **params)
+
+    def cached(
+        self, query: int, k: int, *, algorithm: str = "appfast", **params: float
+    ) -> Optional[SACResult]:
+        """The answer cache's fresh answer to one query, found with no engine work.
+
+        ``None`` without a cache, before ``k``'s labelling is built
+        (resolving the query's component would build it), outside every
+        k-core, and when no fresh entry is held.  Only a hit is counted
+        (:meth:`repro.service.AnswerCache.lookup_fresh`), so a query this
+        misses counts once, in the :meth:`submit_batch` that answers it.
+        It only reads the engine, so it may run beside a :meth:`submit_batch`
+        on another thread, but not beside a mutation.
+        """
+        if self.cache is None or not self.engine.labelled(k):
+            return None
+        try:
+            representative, version = component_stamp(self.engine, query, k)
+        except NoCommunityError:
+            return None
+        return self.cache.lookup_fresh(
+            self.engine, query, k, algorithm, params,
+            representative=representative, version=version,
+        )
 
     def submit_batch(
         self,

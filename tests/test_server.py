@@ -24,10 +24,13 @@ guarantees:
 from __future__ import annotations
 
 import asyncio
+import http.client
+import json
 import math
 import socket
 import threading
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -35,16 +38,20 @@ import pytest
 from repro.datasets.geosocial import brightkite_like
 from repro.engine import IncrementalEngine, QueryEngine
 from repro.exceptions import InvalidParameterError
+from repro.graph import SpatialGraph
 from repro.replication import Coordinator, CoordinatorConfig
 from repro.server import SACClient, SACServer, ServerConfig, ServerError, start_in_thread
 from repro.server.client import parallel_queries
+from repro.server.daemon import _Job
 from repro.server.http import MAX_HEADER_COUNT, HttpError, read_response
 from repro.service import FULL_LADDER, LADDER, SACService
 from repro.testing.serverharness import (
     EPS,
     K,
+    assert_payload_identical,
     eligible_labels as _eligible_labels,
     expected_payload as _expected,
+    oracle_payload,
     serve as _serve,
 )
 
@@ -60,21 +67,27 @@ def _wait_until(predicate, timeout: float = 30.0) -> None:
 class _WriterGate:
     """Hold a daemon's single writer busy until :meth:`release`.
 
-    The gate is a writer job that blocks on an event, as a slow engine job
-    would, so every ``/query`` arriving meanwhile waits in its pending
-    group.  The job takes no admission slot and changes no state.
+    The gate is a read job that blocks on an event, as a slow engine miss
+    would, so every ``/query`` the cache cannot answer waits in its pending
+    group meanwhile.  The job takes no admission slot, changes no state and
+    raises no fence, so a fresh cache hit is still answered on the event
+    loop.
     """
 
     def __init__(self, handle):
         running, self._open = threading.Event(), threading.Event()
+        server = handle.server
 
         def hold():
             running.set()
             self._open.wait()
 
-        self._job = asyncio.run_coroutine_threadsafe(
-            handle.server._run_mutation(hold), handle._loop
-        )
+        async def gate():
+            future = server._loop.create_future()
+            server._jobs.put_nowait(_Job(kind="batch", run=hold, future=future))
+            await future
+
+        self._job = asyncio.run_coroutine_threadsafe(gate(), handle._loop)
         assert running.wait(timeout=30), "the gated job never started"
 
     def release(self) -> None:
@@ -348,6 +361,100 @@ class TestDispatchWhenIdle:
         assert stats.flushes_idle == 0
 
 
+class TestCacheHitsOnTheLoop:
+    """A fresh cache hit is answered on the event loop, unless a fence is up."""
+
+    def test_cached_query_answers_while_the_writer_is_busy(self, base_graph, reference):
+        label = _eligible_labels(reference, 1)[0]
+        handle = _serve(base_graph)
+        box = {}
+        try:
+            with SACClient(handle.host, handle.port) as client:
+                first = client.query(label, K, params=EPS)
+                gate = _WriterGate(handle)
+                try:
+                    asker = threading.Thread(
+                        target=lambda: box.update(second=client.query(label, K, params=EPS))
+                    )
+                    asker.start()
+                    asker.join(timeout=10)
+                    answered_while_busy = not asker.is_alive()
+                finally:
+                    gate.release()
+                asker.join(timeout=30)
+                stats = client.stats()
+        finally:
+            handle.stop()
+        assert answered_while_busy, "the cached query waited for the busy writer"
+        assert box["second"] == first
+        assert_payload_identical(first, oracle_payload(reference, label))
+        assert stats["batcher"]["cache_hits_on_loop"] == 1
+        assert stats["batcher"]["queries_coalesced"] == 1
+        assert stats["endpoints"]["POST /query"]["requests"] == 2
+        # The hit counted once, the first query's miss once.
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (1, 1)
+
+    def test_hit_behind_a_queued_checkin_waits_and_sees_it(self, base_graph, reference):
+        """A hit may not overtake a mutation that arrived before it.
+
+        ``u``'s answer is cached.  A check-in of another member of ``u``'s
+        community is queued behind the busy writer; a ``/query`` for ``u``
+        sent after it must wait for it and answer as the serial replay does.
+        """
+        label = _eligible_labels(reference, 1)[0]
+        vertex = base_graph.index_of(label)
+        before = reference.search(vertex, K, **EPS)
+
+        def replay(mover):
+            serial = IncrementalEngine(base_graph.mutable_copy())
+            serial.apply_checkin(mover, 0.99, 0.99)
+            return serial.search(vertex, K, **EPS)
+
+        mover = next(
+            int(w)
+            for w in before.members.array
+            if w != vertex and replay(int(w)).circle.radius != before.circle.radius
+        )
+        handle = _serve(base_graph)
+        box = {}
+
+        def send(name, call):
+            with SACClient(handle.host, handle.port) as mine:
+                box[name] = call(mine)
+
+        try:
+            with SACClient(handle.host, handle.port) as client:
+                box["first"] = client.query(label, K, params=EPS)
+            gate = _WriterGate(handle)
+            try:
+                checkin = threading.Thread(
+                    target=send,
+                    args=("checkin", lambda c: c.checkin(base_graph.label_of(mover), 0.99, 0.99)),
+                )
+                checkin.start()
+                _wait_until(handle.server._jobs.fenced)
+                asker = threading.Thread(
+                    target=send, args=("second", lambda c: c.query(label, K, params=EPS))
+                )
+                asker.start()
+                _wait_until(lambda: _lane_pending(handle) == 1)
+                assert "second" not in box
+            finally:
+                gate.release()
+            for thread in (checkin, asker):
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            hits_on_loop = handle.server.batcher_stats.cache_hits_on_loop
+        finally:
+            handle.stop()
+        assert box["checkin"]["applied"] is True
+        assert box["first"] == _expected(base_graph, before) | {"query": label, "k": K}
+        assert box["second"] == _expected(base_graph, replay(mover)) | {
+            "query": label, "k": K,
+        }
+        assert hits_on_loop == 0
+
+
 class TestBatchEndpoint:
     def test_batch_matches_engine_and_second_round_hits_cache(
         self, client, reference, base_graph
@@ -524,6 +631,47 @@ class TestProtocolRobustness:
         with pytest.raises(ServerError) as excinfo:
             client._request("GET", "/query")
         assert excinfo.value.status == 405
+
+    def test_unencodable_answer_is_a_500_and_keeps_the_connection(
+        self, base_graph, reference, capsys
+    ):
+        # ``Decimal(i) == i``, so ``{"vertex": i}`` resolves, but json cannot
+        # encode the ``query`` label of the answer.
+        indptr, indices = base_graph.csr
+        graph = SpatialGraph.from_csr(
+            indptr,
+            indices,
+            base_graph.coordinates.copy(),
+            labels=[Decimal(i) for i in range(base_graph.num_vertices)],
+        )
+        vertex = base_graph.index_of(_eligible_labels(reference, 1)[0])
+        handle = start_in_thread(
+            SACServer(SACService(engine=IncrementalEngine(graph)), ServerConfig(port=0))
+        )
+        connection = http.client.HTTPConnection(handle.host, handle.port, timeout=30)
+        try:
+            # The first answer comes from the engine, the second from the
+            # cache on the event loop: both are refused by the encoder.
+            for _ in range(2):
+                connection.request("POST", "/query", body=json.dumps({"vertex": vertex}))
+                response = connection.getresponse()
+                assert response.status == 500
+                assert json.loads(response.read()) == {
+                    "error": "internal server error",
+                    "status": 500,
+                }
+            socket_before = connection.sock
+            connection.request("GET", "/healthz")
+            health = connection.getresponse()
+            assert health.status == 200
+            assert json.loads(health.read())["status"] == "ok"
+            assert connection.sock is socket_before
+            hits_on_loop = handle.server.batcher_stats.cache_hits_on_loop
+        finally:
+            connection.close()
+            handle.stop()
+        assert hits_on_loop == 1
+        assert "cannot encode the response to POST /query" in capsys.readouterr().err
 
     def test_error_responses_keep_the_connection_usable(self, client):
         for _ in range(3):

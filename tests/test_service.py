@@ -8,6 +8,11 @@ surfaces historically lacked tests for: empty batches, all-failed batches,
 per-query errors, and cache eviction after incremental-engine mutations.
 """
 
+import sys
+import threading
+import time
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -33,6 +38,20 @@ def graph():
 @pytest.fixture(scope="module")
 def queries(graph):
     return select_query_vertices(graph, 10, min_core=4, seed=5)
+
+
+class _YieldingDict(OrderedDict):
+    """An ordered dict that lets other threads run inside every ``get``.
+
+    The interpreter switches threads only at a few points of the bytecode,
+    and none falls between the cache's read of an entry and its update, so
+    without this a missing lock would go unseen.
+    """
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        time.sleep(0)
+        return value
 
 
 def _assert_identical(first, second):
@@ -152,6 +171,71 @@ class TestAnswerCache:
         hits, misses = cache.lookup_group(engine, recent, 4, "appfast", {}, **stamp)
         assert not misses and set(hits) == set(recent)
         assert cache.lookup_group(engine, [0], 4, "appfast", {}, **stamp)[1] == [0]
+
+    def test_two_threads_keep_entries_and_counters_consistent(self, graph):
+        # The daemon's engine thread fills plan groups while its event loop
+        # looks up hits.  Here one thread fills far past the capacity, so
+        # entries are evicted under the lookups of two others (more threads
+        # than this host's two cores).
+        engine = QueryEngine(graph)
+        cache = AnswerCache(capacity=64)
+        cache._entries = _YieldingDict()
+        stamp = {"representative": 0, "version": 0}
+        answers = {
+            q: SACResult(
+                "appfast", q, 4, np.arange(q % 50 + 1), Circle.from_xy(0.0, 0.0, 1.0), {}
+            )
+            for q in range(512)
+        }
+        rounds, width, lookers = 1500, 8, 2
+        start, done = threading.Barrier(1 + lookers), threading.Event()
+        errors, fresh_hits = [], []
+
+        def fill():
+            start.wait()
+            while not done.is_set():
+                for first in range(0, len(answers), 16):
+                    group = {q: answers[q] for q in range(first, first + 16)}
+                    cache.store_group(engine, group, 4, "appfast", {}, **stamp)
+
+        def look(seed):
+            rng = np.random.default_rng(seed)
+            start.wait()
+            for _ in range(rounds):
+                queries = [int(q) for q in rng.integers(0, len(answers), width)]
+                cache.lookup_group(engine, queries, 4, "appfast", {}, **stamp)
+                hit = cache.lookup_fresh(engine, queries[0], 4, "appfast", {}, **stamp)
+                fresh_hits.append(hit is not None)
+
+        def guarded(work, *args):
+            try:
+                work(*args)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=guarded, args=(look, seed)) for seed in range(lookers)]
+        filler = threading.Thread(target=guarded, args=(fill,))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in (filler, *threads):
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            done.set()
+            filler.join(timeout=120)
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in (filler, *threads))
+        assert errors == []
+        stats = cache.stats
+        assert stats.evictions > 0
+        assert len(cache) <= cache.capacity
+        held = [key[1] for key in cache._entries]
+        assert stats.nbytes == sum(
+            answers[q].members.array.nbytes + _ENTRY_OVERHEAD for q in held
+        )
+        assert stats.hits + stats.misses == lookers * rounds * width + sum(fresh_hits)
 
     def test_invalidation_releases_its_bytes(self):
         rng = np.random.default_rng(41)
