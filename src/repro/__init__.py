@@ -80,7 +80,7 @@ from repro.graph import GraphBuilder, SpatialGraph
 from repro.server import SACClient, SACServer, ServerConfig
 from repro.store import ArtifactStore
 
-__version__ = "6.1.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "__version__",

@@ -1,6 +1,6 @@
 """Command-line interface for the SAC search library.
 
-Three subcommands cover the common workflows of a downstream user:
+Seven subcommands cover the common workflows of a downstream user:
 
 ``generate``
     Create a synthetic spatial graph (power-law or geo-social) and save it as
@@ -13,13 +13,9 @@ Three subcommands cover the common workflows of a downstream user:
 ``batch``
     Run many SAC queries as one batch through
     :meth:`repro.service.SACService.submit_batch`, sharing the per-graph
-    preprocessing, and print every answer plus a throughput summary.
-
-``serve-batch``
-    Run repeated batches through the full serving layer
-    (:class:`repro.service.SACService`): each batch executes one k-ĉore
-    component at a time, and an answer cache persists across rounds.
-    Prints per-round throughput plus cache/engine statistics.
+    preprocessing, for ``--rounds`` rounds over one answer cache (rounds
+    after the first are cache hits).  Prints each round's throughput,
+    every answer, and cache/engine statistics.
 
 ``track``
     Replay a check-in stream (from a file, or synthesised on the fly) and
@@ -30,9 +26,9 @@ Three subcommands cover the common workflows of a downstream user:
 ``snapshot``
     Build every per-graph artifact (core decomposition, k-ĉore labellings,
     per-component bundles) for the requested ``k`` values and persist the
-    lot as an :class:`repro.store.ArtifactStore` directory.  ``batch``,
-    ``serve-batch``, and ``track`` accept the snapshot via ``--store`` and
-    warm-start memory-mapped instead of paying the cold build.
+    lot as an :class:`repro.store.ArtifactStore` directory.  ``batch``
+    and ``track`` accept the snapshot via ``--store`` and warm-start
+    memory-mapped instead of paying the cold build.
 
 ``serve``
     Run the long-lived online serving daemon (:class:`repro.server.SACServer`):
@@ -56,7 +52,7 @@ Examples
     python -m repro.cli query graph.npz --vertex 42 --k 4 --algorithm exact+
     python -m repro.cli batch graph.npz --count 64 --k 4 --algorithm appfast
     python -m repro.cli snapshot graph.npz --out graph.store --ks 4
-    python -m repro.cli serve-batch --store graph.store --count 64 --k 4
+    python -m repro.cli batch --store graph.store --count 64 --k 4 --rounds 2
     python -m repro.cli serve --store graph.store --port 8080
     python -m repro.cli track --store graph.store --track-count 8 --k 4
     python -m repro.cli stats graph.npz
@@ -117,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     batch = subparsers.add_parser(
-        "batch", help="run many SAC queries with shared preprocessing"
+        "batch",
+        help="run many SAC queries as batches through the planned, answer-cached service",
     )
     batch.add_argument(
         "graph", nargs="?", help="graph .npz file produced by `generate`"
@@ -141,53 +138,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--epsilon-f", type=float, default=0.5, help="AppFast slack")
     batch.add_argument("--epsilon-a", type=float, default=0.5, help="AppAcc / Exact+ accuracy")
-    _add_resident_budget_argument(batch)
-
-    serve = subparsers.add_parser(
-        "serve-batch",
-        help="run repeated batches through the planned, answer-cached serving layer",
-    )
-    serve.add_argument(
-        "graph", nargs="?", help="graph .npz file produced by `generate`"
-    )
-    serve.add_argument(
-        "--store",
-        help="warm-start from a snapshot directory produced by `snapshot` "
-        "instead of a graph file",
-    )
-    serve.add_argument(
-        "--vertices",
-        help="comma-separated query vertex labels (default: sample --count eligible vertices)",
-    )
-    serve.add_argument(
-        "--count", type=int, default=64, help="number of random eligible query vertices"
-    )
-    serve.add_argument("--seed", type=int, default=0, help="sampling seed for --count")
-    serve.add_argument("--k", type=int, default=4, help="minimum degree threshold")
-    serve.add_argument(
-        "--algorithm", choices=sorted(ALGORITHMS), default="appfast", help="SAC algorithm"
-    )
-    serve.add_argument("--epsilon-f", type=float, default=0.5, help="AppFast slack")
-    serve.add_argument("--epsilon-a", type=float, default=0.5, help="AppAcc / Exact+ accuracy")
-    serve.add_argument(
+    batch.add_argument(
         "--rounds",
         type=int,
-        default=2,
+        default=1,
         help="times the batch is submitted; rounds after the first exercise the cache",
     )
-    serve.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the answer cache (every round recomputes)",
-    )
-    serve.add_argument(
+    batch.add_argument(
         "--deadline-ms",
         type=float,
         default=None,
         help="per-round deadline budget: answer each batch through the SLO "
         "algorithm ladder, --algorithm becoming the quality ceiling",
     )
-    _add_resident_budget_argument(serve)
+    _add_resident_budget_argument(batch)
 
     daemon = subparsers.add_parser(
         "serve",
@@ -274,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--poll-timeout-ms",
         type=float,
         default=30000.0,
-        help="longest a GET /subscribe long-poll parks before answering "
-        "empty (also the streaming heartbeat cadence)",
+        help="longest a GET /subscribe long-poll parks before answering empty",
     )
     daemon.add_argument(
         "--subscription-backlog",
@@ -288,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--subscription-idle-seconds",
         type=float,
         default=300.0,
-        help="expire subscriptions with no poll/stream contact for this "
-        "long (0 disables idle GC)",
+        help="expire subscriptions with no poll contact for this long "
+        "(0 disables idle GC)",
     )
     daemon.add_argument(
         "--role",
@@ -517,11 +480,10 @@ def _command_query(args: argparse.Namespace) -> int:
 
 
 def _batch_queries(args: argparse.Namespace, graph) -> list:
-    """Resolve the query vertices of a batch-style subcommand.
+    """Resolve the query vertices of ``batch``.
 
     Explicit ``--vertices`` labels win; otherwise ``--count`` eligible
-    vertices are sampled with ``--seed``.  Shared by ``batch`` and
-    ``serve-batch``.
+    vertices are sampled with ``--seed``.
     """
     if args.vertices:
         labels = dict.fromkeys(_parse_label(part) for part in args.vertices.split(","))
@@ -539,35 +501,6 @@ def _batch_queries(args: argparse.Namespace, graph) -> list:
 
 
 def _command_batch(args: argparse.Namespace) -> int:
-    from repro.service import SACService
-
-    engine = _load_engine(args, QueryEngine)
-    graph = engine.graph
-    queries = _batch_queries(args, graph)
-    batch = SACService(engine=engine, use_cache=False).submit_batch(
-        queries, args.k, algorithm=args.algorithm, **_algorithm_params(args)
-    )
-    print(f"algorithm      : {args.algorithm} (k={args.k})")
-    print(f"queries        : {len(queries)} ({batch.answered} answered, {len(batch.failed)} without community)")
-    print(f"total time     : {batch.elapsed_seconds:.4f}s")
-    print(f"shared prep    : {batch.shared_preprocessing_seconds:.4f}s")
-    if batch.answered:
-        per_query = (
-            batch.elapsed_seconds - batch.shared_preprocessing_seconds
-        ) / batch.answered
-        print(f"per query      : {per_query * 1000.0:.3f}ms")
-    if batch.elapsed_seconds > 0:
-        print(f"throughput     : {batch.answered / batch.elapsed_seconds:.1f} queries/s")
-    for query in sorted(batch.results):
-        result = batch.results[query]
-        print(
-            f"  vertex {graph.label_of(query)!s:>8}: {result.size} members, "
-            f"radius {result.radius:.6f}"
-        )
-    return 0 if batch.answered else 1
-
-
-def _command_serve_batch(args: argparse.Namespace) -> int:
     import time
 
     from repro.service import SACService
@@ -580,17 +513,15 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         )
     engine = _load_engine(args, QueryEngine)
     graph = engine.graph
-    service = SACService(engine=engine, use_cache=not args.no_cache)
+    service = SACService(engine=engine)
     queries = _batch_queries(args, graph)
     params = _algorithm_params(args)
 
-    cache_mode = "no cache" if args.no_cache else "answer cache on"
     role = "quality ceiling" if args.deadline_ms is not None else "algorithm"
-    print(f"algorithm      : {args.algorithm} ({role}; k={args.k}, {cache_mode})")
+    print(f"algorithm      : {args.algorithm} ({role}; k={args.k}, answer cache on)")
     if args.deadline_ms is not None:
         print(f"deadline       : {args.deadline_ms:g} ms per round (SLO ladder on)")
     print(f"queries        : {len(queries)} per round, {args.rounds} round(s)")
-    answered = 0
     for round_index in range(args.rounds):
         start = time.perf_counter()
         batch = service.submit_batch(
@@ -601,7 +532,6 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
             **params,
         )
         elapsed = time.perf_counter() - start
-        answered = batch.answered
         rate = batch.answered / elapsed if elapsed > 0 else float("inf")
         print(
             f"  round {round_index + 1}: {batch.answered} answered, "
@@ -618,12 +548,17 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
             )
         for query, message in sorted(batch.errors.items()):
             print(f"    error vertex {query}: {message}", file=sys.stderr)
-    stats = service.stats()
-    if stats.cache is not None:
+    for query in sorted(batch.results):
+        result = batch.results[query]
         print(
-            f"cache          : {stats.cache.hits} hits, {stats.cache.misses} misses, "
-            f"{stats.cache.invalidations} invalidations, {stats.cache.evictions} evictions"
+            f"  vertex {graph.label_of(query)!s:>8}: {result.size} members, "
+            f"radius {result.radius:.6f}"
         )
+    stats = service.stats()
+    print(
+        f"cache          : {stats.cache.hits} hits, {stats.cache.misses} misses, "
+        f"{stats.cache.invalidations} invalidations, {stats.cache.evictions} evictions"
+    )
     print(
         f"engine         : {stats.engine.components_materialised} bundles built, "
         f"{stats.engine.core_decompositions} core decomposition(s)"
@@ -644,7 +579,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         f"{stats.engine.queries_deduped} deduped, "
         f"{stats.engine.queries_factorised} factorised"
     )
-    return 0 if answered else 1
+    return 0 if batch.answered else 1
 
 
 def _coordinator_server(args: argparse.Namespace):
@@ -886,7 +821,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "query": _command_query,
         "batch": _command_batch,
         "snapshot": _command_snapshot,
-        "serve-batch": _command_serve_batch,
         "serve": _command_serve,
         "track": _command_track,
         "stats": _command_stats,

@@ -167,24 +167,28 @@ class ReplicaServer(SACServer):
     async def _apply_available(self) -> int:
         """Replay every complete record currently in the log; returns count.
 
-        Runs as one job through the daemon's write barrier
-        (:meth:`SACServer._run_mutation`): pending read micro-batches flush
-        first, then the records apply on the engine thread in LSN order —
-        the same interleaving discipline the writer gives first-hand
-        mutations, which is what keeps replica answers bit-identical to the
-        writer's at ``applied_lsn``.
+        The log is read first, on a helper thread and outside the barrier:
+        a poll without news runs no job, so an idle replica never fences
+        its cache hits.  News runs as one job through the daemon's write
+        barrier (:meth:`SACServer._run_mutation`): pending read
+        micro-batches flush first, then the records apply on the engine
+        thread in LSN order — the same interleaving discipline the writer
+        gives first-hand mutations, which is what keeps replica answers
+        bit-identical to the writer's at ``applied_lsn``.
         """
+        records = await self._loop.run_in_executor(None, self._cursor.poll, 256)
+        if not records:
+            return 0
 
         def run() -> int:
-            replayed = self._replay(self._cursor)
+            replayed = self._replay(self._cursor, records)
             self._replayed = self._cursor.next_lsn - 1
             return replayed
 
         applied = await self._run_mutation(run)
         self._applied = self._replayed
-        if applied:
-            self.replica_stats.records_replayed += applied
-            self.replica_stats.replay_batches += 1
+        self.replica_stats.records_replayed += applied
+        self.replica_stats.replay_batches += 1
         return applied
 
     async def _resync(self, gap: WalGapError) -> None:

@@ -11,7 +11,7 @@ to applying the same request sequence serially), warm start from an
 graceful drain.  **Standing queries** ride the same daemon: ``/subscribe``
 registers a continuous query with the
 :class:`repro.service.subscriptions.SubscriptionRegistry` and deltas are
-collected by long-poll or chunked streaming.  :class:`SACClient` is the
+collected by long-polling ``GET /subscribe``.  :class:`SACClient` is the
 stdlib client; ``repro-sac serve`` the CLI front end.  The daemon runs on
 :class:`HttpServer` — the listener, keep-alive loop, signal and drain
 lifecycle it shares with the replication tier's servers — and

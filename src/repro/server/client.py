@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import http.client
 import json
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 from urllib.parse import urlencode
 
 
@@ -214,8 +214,8 @@ class SACClient:
         """``POST /subscribe`` — register a standing query.
 
         Returns the initial community snapshot (``type: "snapshot"``) whose
-        ``id`` addresses every later :meth:`poll` / :meth:`stream` /
-        :meth:`unsubscribe` call.
+        ``id`` addresses every later :meth:`poll` / :meth:`unsubscribe`
+        call.
         """
         body: dict = {"vertex": vertex, "k": k}
         if algorithm is not None:
@@ -237,7 +237,7 @@ class SACClient:
         if timeout_ms is not None:
             query["timeout_ms"] = repr(float(timeout_ms))
         path = f"/subscribe?{urlencode(query)}"
-        budget = (timeout_ms or 30000.0) / 1000.0 + 10.0
+        budget = (30000.0 if timeout_ms is None else timeout_ms) / 1000.0 + 10.0
         if budget <= self.timeout:
             return self._request("GET", path)
         # A park longer than the client's socket timeout needs a dedicated
@@ -260,49 +260,6 @@ class SACClient:
     def unsubscribe(self, sub_id: str) -> dict:
         """``POST /unsubscribe`` — drop a standing query."""
         return self._request("POST", "/unsubscribe", {"id": sub_id})
-
-    def stream(
-        self, sub_id: str, *, timeout: Optional[float] = None
-    ) -> Iterator[dict]:
-        """``GET /subscribe?stream=1`` — yield messages from a chunked stream.
-
-        A generator over the subscription's pushed messages (deltas,
-        resyncs, heartbeats, and the final ``drain``/``closed``), each a
-        parsed JSON object.  The stream ends — and the generator returns —
-        when the server delivers its terminal message or closes the
-        connection; ``http.client`` de-chunks transparently, so a torn
-        stream surfaces as :class:`http.client.IncompleteRead` rather than
-        silently truncated JSON.  The dedicated connection uses ``timeout``
-        (default: the server is expected to heartbeat within its
-        ``poll_timeout_ms``; pass a comfortably larger value).
-        """
-        path = f"/subscribe?{urlencode({'id': sub_id, 'stream': 1})}"
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout if timeout is None else timeout
-        )
-        try:
-            connection.request("GET", path)
-            response = connection.getresponse()
-            if response.status >= 400:
-                raw = response.read()
-                decoded = json.loads(raw) if raw else {}
-                raise ServerError(
-                    response.status,
-                    decoded.get("error", raw.decode("utf-8", "replace")),
-                )
-            while True:
-                line = response.readline()
-                if not line:
-                    return
-                line = line.strip()
-                if not line:
-                    continue
-                message = json.loads(line)
-                yield message
-                if message.get("type") in ("drain", "closed"):
-                    return
-        finally:
-            connection.close()
 
     def stats(self) -> dict:
         """``GET /stats`` — endpoint, batcher, engine, cache and SLO counters."""

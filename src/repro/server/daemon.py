@@ -44,10 +44,10 @@ network server.  These ideas organise it:
   :class:`repro.service.subscriptions.SubscriptionRegistry`; after every
   mutation clears the write barrier the registry re-evaluates exactly the
   subscriptions whose component version moved and queues a delta per
-  changed answer.  Clients collect deltas with ``GET /subscribe`` —
-  long-poll (parks up to ``poll_timeout_ms``) or chunked streaming
-  (``stream=1``) — with bounded per-subscription backlogs that overflow to
-  a full-snapshot resync instead of dropping updates silently.
+  changed answer.  Clients collect deltas by long-polling
+  ``GET /subscribe`` (a poll parks up to ``poll_timeout_ms``), with bounded
+  per-subscription backlogs that overflow to a full-snapshot resync
+  instead of dropping updates silently.
 * **Operability** — warm start from an :class:`repro.store.ArtifactStore`
   snapshot (``SACService.open``), snapshot-to-store on ``SIGUSR1`` and on
   shutdown, graceful drain (pending queries are flushed and answered, the
@@ -78,12 +78,9 @@ from repro.core.searcher import ALGORITHMS
 from repro.engine import IncrementalEngine
 from repro.exceptions import InvalidParameterError, ReproError
 from repro.server.http import (
-    LAST_CHUNK,
     ConnectionClosed,
     HttpError,
     Request,
-    encode_chunk,
-    encode_stream_head,
     error_payload,
     read_request,
     write_response,
@@ -199,14 +196,13 @@ class ServerConfig:
     poll_timeout_ms:
         Upper bound on how long one ``GET /subscribe`` long-poll parks
         before answering with an empty delta list (a request may ask for
-        less via ``timeout_ms``, never more).  Streaming connections emit a
-        heartbeat chunk at the same cadence while idle.
+        less via ``timeout_ms``, never more).
     subscription_backlog:
         Per-subscription delta-queue bound.  A consumer that falls further
         behind has its queue dropped and receives one full-snapshot
         ``resync`` message on its next poll instead (overflow-to-resync).
     subscription_idle_seconds:
-        Subscriptions with no poll/stream contact for this long are expired
+        Subscriptions with no poll contact for this long are expired
         at the next mutation.  Keep it above ``poll_timeout_ms`` (a parked
         poller only counts as contact when its poll arrives); ``None``
         disables idle GC, and any other value must be finite and above 0.
@@ -340,18 +336,6 @@ class _PendingQuery:
     future: "asyncio.Future[BatchResult]"
     deadline_ms: Optional[float] = None
     arrived: float = 0.0
-
-
-@dataclass
-class _SubscriptionStream:
-    """Handler sentinel: switch this connection to chunked delta streaming.
-
-    ``GET /subscribe?stream=1`` returns this instead of a JSON payload; the
-    connection loop spots it and hands the socket to
-    :meth:`SACServer._stream_subscription` instead of writing one response.
-    """
-
-    sub_id: str
 
 
 @dataclass
@@ -525,15 +509,20 @@ class HttpServer:
         """Block until :meth:`stop` has completed."""
         await self._stopped.wait()
 
-    async def _dispatch(
-        self, request: Request
-    ) -> Tuple[int, Union[dict, bytes, "_SubscriptionStream"], Dict[str, str]]:
+    async def _dispatch(self, request: Request) -> Tuple[int, Union[dict, bytes], Dict[str, str]]:
         """Answer one request: ``(status, payload, extra response headers)``.
 
         ``payload`` is a JSON object, or a ``bytes`` body that is already
         JSON.  Exceptions must not escape: the connection outlives them.
         """
         raise NotImplementedError
+
+    def _unencodable(self, request: Request, status: int) -> None:
+        """Note that the ``status`` answer to ``request`` became a 500 (subclass hook).
+
+        Called by the connection loop when ``json`` refuses the payload
+        :meth:`_dispatch` returned, so the failure path alone pays for it.
+        """
 
     async def _on_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
@@ -571,11 +560,6 @@ class HttpServer:
                     )
                 return
             status, payload, headers = await self._dispatch(request)
-            if isinstance(payload, _SubscriptionStream):
-                # The subscription switches this socket to chunked
-                # streaming; the connection is dedicated to it from here on.
-                await self._stream_subscription(writer, payload)
-                return
             if not isinstance(payload, bytes):
                 # Encoded before writing: a payload json refuses (a label it
                 # cannot encode) is answered with a 500, and the connection
@@ -588,6 +572,7 @@ class HttpServer:
                         f"{request.path}: {error!r}",
                         file=sys.stderr,
                     )
+                    self._unencodable(request, status)
                     status, payload = error_payload(500, "internal server error")
                     headers = {}
             keep_alive = request.keep_alive and not self._draining
@@ -671,7 +656,6 @@ class SACServer(HttpServer):
             clock=self._clock,
         )
         self._sub_events: Dict[str, asyncio.Event] = {}
-        self._streams: set = set()
         self._parked = 0
         self._routes: Dict[Tuple[str, str], Handler] = {
             ("POST", "/query"): self._handle_query,
@@ -780,21 +764,22 @@ class SACServer(HttpServer):
         self._writer_task = self._loop.create_task(self._writer_loop())
         await super().start()
 
-    def _replay(self, cursor: WalCursor) -> int:
-        """Apply every complete WAL record ``cursor`` can read now; the count.
+    def _replay(self, cursor: WalCursor, records: Sequence[dict] = ()) -> int:
+        """Apply ``records``, then every complete WAL record ``cursor`` can read now; the count.
 
         Runs on the engine thread, in LSN order.  The writer replays the
         log beyond its snapshot at start; a replica replays each poll's news
-        inside one write-barrier job.
+        (``records``, already read from ``cursor``) inside one write-barrier
+        job.
         """
         replayed = 0
         while True:
+            for record in records:
+                self.service.apply_record(record)
+            replayed += len(records)
             records = cursor.poll(max_records=256)
             if not records:
                 return replayed
-            for record in records:
-                self.service.apply_record(record)
-                replayed += 1
 
     def _signal_actions(self) -> List[Tuple[int, Callable[[], Awaitable[object]]]]:
         """Adds ``SIGUSR1``: snapshot to ``config.snapshot_path`` without stopping."""
@@ -834,7 +819,7 @@ class SACServer(HttpServer):
         writer queue run dry, wait (bounded) for open requests to finish,
         snapshot if configured, stop the engine thread.
         """
-        # Wake every parked subscription poller/stream first: they observe
+        # Wake every parked subscription poller first: they observe
         # _draining, answer with a final drain message, and release their
         # in-flight slot — otherwise the idle wait below would stall on
         # connections that are parked, not working.
@@ -854,11 +839,6 @@ class SACServer(HttpServer):
         self._engine_thread.shutdown(wait=True)
         if self._wal is not None:
             self._wal.close()
-        # Streaming connections were woken above and are writing their final
-        # drain chunk + terminator; give them a bounded window to finish so
-        # no client ever sees a torn chunk, then stop() cancels the rest.
-        if self._streams:
-            await asyncio.wait(list(self._streams), timeout=2.0)
 
     # ----------------------------------------------------------------- routing
     async def _dispatch(self, request: Request) -> Tuple[int, dict, Dict[str, str]]:
@@ -904,6 +884,16 @@ class SACServer(HttpServer):
                 self._idle.set()
         stats.record(self._clock() - start, error=status >= 400)
         return status, payload, headers
+
+    def _unencodable(self, request: Request, status: int) -> None:
+        """Count an answer the encoder refused as an error of its endpoint.
+
+        :meth:`_dispatch` recorded the request before the connection loop
+        encoded it, as a success when ``status`` was below 400.
+        """
+        stats = self.endpoint_stats.get(f"{request.method} {request.path}")
+        if stats is not None and status < 400:
+            stats.errors += 1
 
     # ------------------------------------------------------------ micro-batching
     def _flush(self, key: BatchKey, reason: str) -> None:
@@ -1110,7 +1100,7 @@ class SACServer(HttpServer):
 
         ``drop`` names subscriptions that no longer exist (expired or
         unsubscribed): their waiters are woken too — they observe the
-        missing id and answer ``closed`` — and their events are discarded.
+        missing id and answer ``404`` — and their events are discarded.
         """
         for sub_id in sub_ids:
             event = self._sub_events.get(sub_id)
@@ -1122,7 +1112,7 @@ class SACServer(HttpServer):
                 event.set()
 
     def _release_pollers(self) -> None:
-        """Wake every parked poller/stream (drain: they answer and exit)."""
+        """Wake every parked poller (drain: they answer and exit)."""
         for event in self._sub_events.values():
             event.set()
 
@@ -1473,33 +1463,30 @@ class SACServer(HttpServer):
             raise HttpError(400, "'id' must be a subscription id string")
         if not self.subscriptions.unsubscribe(sub_id):
             raise HttpError(404, f"no such subscription: {sub_id}")
-        # Parked pollers wake, observe the missing id, and answer "closed".
+        # Parked pollers wake, observe the missing id, and answer 404.
         self._wake_subscribers([], drop=[sub_id])
         return 200, {"unsubscribed": True, "id": sub_id}
 
     async def _handle_subscribe_poll(self, request: Request) -> Tuple[int, dict]:
-        """``GET /subscribe?id=...`` — collect deltas: long-poll or stream.
+        """``GET /subscribe?id=...`` — long-poll one subscription for deltas.
 
-        Long-poll (the default): drains and returns the subscription's
-        pending messages immediately when there are any, otherwise parks up
-        to ``timeout_ms`` (capped by the server's ``poll_timeout_ms``) and
-        answers with whatever arrived — possibly an empty list.  With
-        ``stream=1`` the connection switches to chunked streaming instead:
-        one JSON message per chunk, heartbeats while idle, a final ``drain``
-        or ``closed`` message plus a clean terminator when the server drains
-        or the subscription goes away.
+        Drains and returns the subscription's pending messages immediately
+        when there are any, otherwise parks up to ``timeout_ms`` (capped by
+        the server's ``poll_timeout_ms``) and answers with whatever arrived
+        — possibly an empty list.  A draining server answers a final
+        ``drain`` message.  A ``stream`` parameter that asks for chunked
+        streaming is a 400: long-poll is the one delivery mode.
         """
         args = parse_qs(request.query)
+        if (args.get("stream") or ["0"])[0].lower() not in ("0", "false", "no"):
+            raise HttpError(
+                400,
+                "streaming is not supported: long-poll GET /subscribe?id=... "
+                "(with an optional timeout_ms) instead",
+            )
         sub_id = (args.get("id") or [""])[0]
         if not sub_id:
             raise HttpError(400, "missing required query parameter 'id'")
-        stream_flag = (args.get("stream") or ["0"])[0].lower()
-        if stream_flag not in ("", "0", "false", "no"):
-            try:
-                self.subscriptions.pending(sub_id)
-            except KeyError:
-                raise HttpError(404, f"no such subscription: {sub_id}") from None
-            return 200, _SubscriptionStream(sub_id=sub_id)
         raw_timeout = (args.get("timeout_ms") or [None])[0]
         if raw_timeout is None:
             timeout_ms = self.config.poll_timeout_ms
@@ -1536,58 +1523,6 @@ class SACServer(HttpServer):
             finally:
                 self._parked -= 1
 
-    async def _stream_subscription(
-        self, writer: asyncio.StreamWriter, stream: _SubscriptionStream
-    ) -> None:
-        """Own one streaming connection until drain/unsubscribe/disconnect.
-
-        Every frame is a complete chunked-encoding chunk holding one JSON
-        message terminated by ``\\n``; the stream always ends with a final
-        ``drain``/``closed`` message and the last-chunk terminator, so a
-        client never observes a torn chunk on an orderly shutdown.
-        """
-        task = asyncio.current_task()
-        self._streams.add(task)
-        sub_id = stream.sub_id
-        try:
-            writer.write(encode_stream_head())
-            await writer.drain()
-            while True:
-                try:
-                    messages = self.subscriptions.poll(sub_id)
-                except KeyError:
-                    await self._write_chunk(writer, {"type": "closed", "id": sub_id})
-                    break
-                for message in messages:
-                    await self._write_chunk(writer, message)
-                if self._draining:
-                    await self._write_chunk(writer, {"type": "drain", "id": sub_id})
-                    break
-                event = self._sub_events.setdefault(sub_id, asyncio.Event())
-                event.clear()
-                self._parked += 1
-                try:
-                    await asyncio.wait_for(
-                        event.wait(), timeout=self.config.poll_timeout_ms / 1000.0
-                    )
-                except asyncio.TimeoutError:
-                    # Idle heartbeat: keeps dead-peer detection bounded on
-                    # both sides without delivering any data.
-                    await self._write_chunk(writer, {"type": "heartbeat", "id": sub_id})
-                finally:
-                    self._parked -= 1
-            writer.write(LAST_CHUNK)
-            await writer.drain()
-        except ConnectionError:
-            pass  # the client went away mid-stream; nothing left to tell it
-        finally:
-            self._streams.discard(task)
-
-    async def _write_chunk(self, writer: asyncio.StreamWriter, message: dict) -> None:
-        """Write one newline-terminated JSON message as one chunk."""
-        writer.write(encode_chunk((json.dumps(message) + "\n").encode("utf-8")))
-        await writer.drain()
-
     async def _handle_stats(self, request: Request) -> Tuple[int, dict]:
         """``GET /stats`` — endpoint, batcher, plan, and service counters."""
         service_stats = self.service.stats()
@@ -1614,7 +1549,6 @@ class SACServer(HttpServer):
             "subscriptions": {
                 **self.subscriptions.stats_dict(),
                 "parked_pollers": self._parked,
-                "streams": len(self._streams),
                 "poll_timeout_ms": self.config.poll_timeout_ms,
                 "idle_seconds": self.config.subscription_idle_seconds,
             },

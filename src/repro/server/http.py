@@ -4,12 +4,10 @@ The daemon (:mod:`repro.server.daemon`) speaks plain HTTP so any stock
 client — ``curl``, ``http.client``, a load balancer's health prober — can
 talk to it, but it deliberately implements only the slice of the protocol a
 JSON API needs: request line + headers + ``Content-Length`` body in,
-``application/json`` responses out, keep-alive connections.  Chunked
-transfer encoding exists only on the *response* side, and only for the
-subscription streaming endpoint (``GET /subscribe?stream=1`` — one JSON
-message per chunk, see :func:`encode_stream_head` / :func:`encode_chunk`);
-chunked request bodies, multipart, and TLS stay out of scope — a reverse
-proxy owns those concerns in any real deployment (see ``docs/serving.md``).
+``application/json`` responses out, keep-alive connections.  Every
+response carries a ``Content-Length`` body; chunked transfer encoding (in
+either direction), multipart, and TLS stay out of scope — a reverse proxy
+owns those concerns in any real deployment (see ``docs/serving.md``).
 
 Everything here is transport framing; routing and request semantics live in
 the daemon.  Parsing failures raise :class:`HttpError` carrying the HTTP
@@ -240,39 +238,6 @@ async def write_response(
         )
     )
     await writer.drain()
-
-
-#: Terminates a chunked response: the zero-length last chunk + final CRLF.
-LAST_CHUNK = b"0\r\n\r\n"
-
-
-def encode_stream_head(
-    status: int = 200, *, extra_headers: Optional[Dict[str, str]] = None
-) -> bytes:
-    """Response head of a chunked (streaming) reply.
-
-    The body that follows is a sequence of :func:`encode_chunk` frames ended
-    by :data:`LAST_CHUNK`.  Streaming responses always close the connection
-    afterwards — a parked stream cannot be multiplexed with keep-alive
-    request/response traffic on the same socket.
-    """
-    reason = REASONS.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {reason}",
-        "Content-Type: application/json",
-        "Transfer-Encoding: chunked",
-        "Connection: close",
-    ]
-    for name, value in (extra_headers or {}).items():
-        lines.append(f"{name}: {value}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-
-
-def encode_chunk(data: bytes) -> bytes:
-    """Frame one chunk of a chunked response (empty data is a no-op frame)."""
-    if not data:
-        return b""
-    return f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n"
 
 
 def error_payload(status: int, message: str) -> Tuple[int, dict]:

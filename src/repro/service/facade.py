@@ -7,8 +7,8 @@ in-process batch executor (:func:`repro.service.sharding.run_plan`), and
 an :class:`~repro.service.cache.AnswerCache` that persists answers across
 batches.  :meth:`SACService.submit_batch` is the library's
 one batch entry point: :class:`repro.dynamic.SACTracker`, the standing-query
-registry, the daemon, and the CLI ``batch`` / ``serve-batch`` subcommands
-all answer through it.
+registry, the daemon, and the CLI ``batch`` subcommand all answer through
+it.
 
 The layering keeps one invariant: every path — single query, planned
 batch, cache hit — returns bit-identical

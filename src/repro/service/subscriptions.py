@@ -163,7 +163,7 @@ class SubscriptionRegistry:
         Per-subscription queue bound; overflowing it switches the
         subscription to resync-snapshot delivery.
     idle_seconds:
-        Subscriptions not polled/streamed for this long are expired by
+        Subscriptions not polled for this long are expired by
         :meth:`expire_idle`.  ``None`` disables idle GC.  Keep it longer
         than the server's long-poll park timeout — a parked poller counts
         as contact only when its poll *arrives*.
@@ -312,14 +312,6 @@ class SubscriptionRegistry:
             self._unindex(self._subs.pop(sub_id))
             self.stats.unsubscribed += 1
             return True
-
-    def pending(self, sub_id: str) -> bool:
-        """Whether a poll would return at least one message right now."""
-        with self._lock:
-            sub = self._subs.get(sub_id)
-            if sub is None:
-                raise KeyError(sub_id)
-            return bool(sub.queue) or sub.needs_resync
 
     def poll(self, sub_id: str, *, limit: Optional[int] = None) -> List[dict]:
         """Drain the subscription's pending messages (may be empty).

@@ -123,37 +123,40 @@ class TestQuery:
         assert "exact+" in capsys.readouterr().out
 
 
-class TestServeBatch:
+class TestBatchRounds:
     def test_defaults(self):
         parser = build_parser()
-        args = parser.parse_args(["serve-batch", "g.npz"])
-        assert args.rounds == 2
-        assert not args.no_cache
+        args = parser.parse_args(["batch", "g.npz"])
+        assert args.rounds == 1
+        assert args.deadline_ms is None
+        assert not hasattr(args, "no_cache")
 
     def test_rounds_hit_the_cache(self, graph_file, capsys):
         exit_code = main(
-            ["serve-batch", str(graph_file), "--count", "8", "--k", "3",
-             "--rounds", "2"]
+            ["batch", str(graph_file), "--count", "8", "--k", "3", "--rounds", "2"]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "round 1" in output and "round 2" in output
-        assert "0 cache hits" in output.splitlines()[2]  # cold first round
-        assert "8 cache hits" in output.splitlines()[3]  # warm second round
-        assert "cache          :" in output
+        rounds = [line for line in output.splitlines() if "  round " in line]
+        assert len(rounds) == 2
+        assert "8 answered" in rounds[0] and "0 cache hits" in rounds[0]  # cold
+        assert "8 cache hits" in rounds[1]  # every query of round 2 is cached
+        assert "cache          : 8 hits, 8 misses" in output
+        for footer in ("engine         :", "residency      :", "plan           :"):
+            assert footer in output
 
-    def test_no_cache_mode(self, graph_file, capsys):
+    def test_deadline_prints_each_rounds_rungs(self, graph_file, capsys):
         exit_code = main(
-            ["serve-batch", str(graph_file), "--count", "4", "--k", "3",
-             "--no-cache", "--rounds", "1"]
+            ["batch", str(graph_file), "--count", "4", "--k", "3",
+             "--rounds", "2", "--deadline-ms", "5000"]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "k=3, no cache" in output
-        assert "cache          :" not in output
+        assert "quality ceiling" in output
+        assert sum("slo: rungs" in line for line in output.splitlines()) == 2
 
     def test_invalid_rounds_rejected(self, graph_file, capsys):
-        assert main(["serve-batch", str(graph_file), "--rounds", "0"]) == 2
+        assert main(["batch", str(graph_file), "--rounds", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
 
@@ -189,10 +192,10 @@ class TestSnapshotAndStore:
         warm_rows = [line for line in warm_out.splitlines() if "vertex" in line]
         assert cold_rows == warm_rows and cold_rows
 
-    def test_serve_batch_from_store(self, store_dir, capsys):
+    def test_batch_rounds_from_store(self, store_dir, capsys):
         exit_code = main(
-            ["serve-batch", "--store", str(store_dir), "--count", "6", "--k", "3",
-             "--rounds", "1"]
+            ["batch", "--store", str(store_dir), "--count", "6", "--k", "3",
+             "--rounds", "2"]
         )
         output = capsys.readouterr().out
         assert exit_code == 0

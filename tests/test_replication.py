@@ -153,6 +153,42 @@ class TestReplicaReplay:
                             (lsn, label),
                         )
 
+    def test_idle_replica_runs_no_write_barrier_job(
+        self, snapshot, eligible, tmp_path
+    ):
+        """A WAL poll without news enqueues no job, so it fences no cache hit."""
+        with _Tier(snapshot, tmp_path / "wal", replicas=1, poll_interval_ms=5.0) as tier:
+            replica = tier.replicas[0]
+            server = replica.server
+            with SACClient("127.0.0.1", replica.port) as client:
+                sub = client.subscribe(eligible[0], K, params=EPS)
+                kinds, polls = [], []
+                put_nowait, apply_available = server._jobs.put_nowait, server._apply_available
+
+                def recording_put(job, **kwargs):
+                    kinds.append(job.kind)
+                    put_nowait(job, **kwargs)
+
+                async def counting_apply():
+                    polls.append(time.monotonic())
+                    return await apply_available()
+
+                server._jobs.put_nowait = recording_put
+                server._apply_available = counting_apply
+                deadline = time.monotonic() + 20.0
+                while len(polls) < 21:  # 20 full poll intervals
+                    assert time.monotonic() < deadline, "the follower stopped polling"
+                    time.sleep(0.01)
+                idle_kinds = list(kinds)
+                with tier.client() as writer_client:
+                    lsn = writer_client.checkin(eligible[0], 0.99, 0.99)["lsn"]
+                _wait_applied(replica, lsn)
+                messages = client.poll(sub["id"], timeout_ms=0)["messages"]
+        assert idle_kinds == []
+        assert kinds.count("mutate") == 1  # the check-in's one replay job
+        assert [message["type"] for message in messages] == ["delta"]
+        assert messages[0]["lsn"] == lsn
+
     def test_replica_refuses_mutations_pointing_at_the_writer(
         self, snapshot, eligible, tmp_path
     ):

@@ -667,10 +667,13 @@ class TestProtocolRobustness:
             assert json.loads(health.read())["status"] == "ok"
             assert connection.sock is socket_before
             hits_on_loop = handle.server.batcher_stats.cache_hits_on_loop
+            query_stats = handle.server.endpoint_stats["POST /query"].as_dict()
         finally:
             connection.close()
             handle.stop()
         assert hits_on_loop == 1
+        # Both 500s count as errors of the endpoint, not as successes.
+        assert (query_stats["requests"], query_stats["errors"]) == (2, 2)
         assert "cannot encode the response to POST /query" in capsys.readouterr().err
 
     def test_error_responses_keep_the_connection_usable(self, client):

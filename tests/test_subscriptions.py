@@ -17,18 +17,24 @@ The contract pinned here, from ``docs/serving.md``:
 * **one answer store** — re-evaluation rides ``SACService.submit_batch``,
   so a read after a mutation on a subscribed vertex is a cache hit, and
   unversioned ``k = 1`` subscriptions re-evaluate on every pass;
-* **soak/chaos** — long-poll and streaming subscribers held open across
-  writer compaction, replica kill, and server drain always end with a
-  final message or a clean resync, never a hang or a torn chunk, and a
-  drain leaks no shared-memory segments.
+* **soak/chaos** — long-poll subscribers held open across writer
+  compaction, replica kill, and server drain always end with a final
+  message or a clean resync, never a hang, and a drain leaks no
+  shared-memory segments;
+* **one delivery mode** — long-poll is the only way to collect deltas: a
+  request for chunked streaming is a 400, an unsubscribe answers a parked
+  poll with a 404, and a poll that does not park rides the client's
+  keep-alive connection.
 
 Run separately with ``pytest -m subscriptions``; the suite is also tier 1.
 """
 
 from __future__ import annotations
 
+import http.client
 import threading
 import time
+from urllib.parse import urlencode
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -541,38 +547,121 @@ class TestSoakAndChaos:
         assert [message["type"] for message in messages] == ["delta"]
         assert messages[0]["lsn"] == lsn
 
-    def test_stream_drain_terminates_cleanly_and_leaks_nothing(
+    def test_long_poll_drain_terminates_cleanly_and_leaks_nothing(
         self, base_graph
     ):
-        """A live chunked stream across a server drain ends with ``drain``."""
+        """A check-in burst reaches a poll; a poll parked across drain answers ``drain``."""
         shm_before = shm_segments()
         handle = serve(base_graph)
         label = eligible_labels(
             IncrementalEngine(base_graph.mutable_copy()), 1
         )[0]
-        received = []
-        failures = []
+        outcome = {}
 
-        def consume(sub_id):
-            try:
-                with SACClient(handle.host, handle.port) as mine:
-                    for message in mine.stream(sub_id, timeout=30.0):
-                        received.append(message)
-            except Exception as error:  # noqa: BLE001 - asserted below
-                failures.append(error)
+        def parked_poll(sub_id):
+            with SACClient(handle.host, handle.port) as mine:
+                outcome["poll"] = mine.poll(sub_id, timeout_ms=20_000)
 
         try:
             with SACClient(handle.host, handle.port) as client:
                 sub = client.subscribe(label, K, params=EPS)
-                consumer = threading.Thread(target=consume, args=(sub["id"],))
-                consumer.start()
                 for step in range(3):
                     client.checkin(label, 0.2 + 0.25 * step, 0.8)
+                burst = client.poll(sub["id"], timeout_ms=0)["messages"]
+                poller = threading.Thread(target=parked_poll, args=(sub["id"],))
+                poller.start()
+                deadline = time.monotonic() + 20.0
+                while handle.server._parked < 1:
+                    assert time.monotonic() < deadline, "the poll never parked"
+                    time.sleep(0.01)
         finally:
             assert_clean_drain(handle, shm_before=shm_before)
-        consumer.join(timeout=20)
-        assert not consumer.is_alive(), "stream consumer hung across drain"
-        assert not failures, f"torn stream: {failures[0]!r}"
-        kinds = [message["type"] for message in received]
-        assert kinds and kinds[-1] in ("drain", "closed")
-        assert any(kind == "delta" for kind in kinds), "burst pushed no delta"
+        poller.join(timeout=20)
+        assert not poller.is_alive(), "poller hung across drain"
+        assert any(m["type"] == "delta" for m in burst), "burst delivered no delta"
+        assert outcome["poll"] == {
+            "id": sub["id"],
+            "messages": [{"type": "drain", "id": sub["id"]}],
+            "draining": True,
+        }
+
+
+class TestLongPollOnly:
+    """Long-poll is the one way to collect deltas."""
+
+    def test_stream_parameter_is_a_400_pointing_to_long_poll(self, base_graph):
+        handle = serve(base_graph)
+        label = eligible_labels(
+            IncrementalEngine(base_graph.mutable_copy()), 1
+        )[0]
+        try:
+            with SACClient(handle.host, handle.port) as client:
+                sub_id = client.subscribe(label, K, params=EPS)["id"]
+                for flag in ("1", "true", "yes"):
+                    query = urlencode({"id": sub_id, "stream": flag})
+                    with pytest.raises(ServerError) as excinfo:
+                        client._request("GET", f"/subscribe?{query}")
+                    assert excinfo.value.status == 400
+                    assert "long-poll" in excinfo.value.message
+                # The values that never asked for a stream still long-poll.
+                for flag in ("0", "false", "no"):
+                    query = urlencode({"id": sub_id, "stream": flag, "timeout_ms": 0})
+                    answer = client._request("GET", f"/subscribe?{query}")
+                    assert answer == {"id": sub_id, "messages": [], "draining": False}
+        finally:
+            handle.stop()
+
+    def test_unsubscribe_answers_a_parked_poll_with_404(self, base_graph):
+        handle = serve(base_graph)
+        label = eligible_labels(
+            IncrementalEngine(base_graph.mutable_copy()), 1
+        )[0]
+        outcome = {}
+
+        def parked_poll(sub_id):
+            with SACClient(handle.host, handle.port) as mine:
+                try:
+                    outcome["poll"] = mine.poll(sub_id, timeout_ms=20_000)
+                except ServerError as error:
+                    outcome["status"] = error.status
+
+        try:
+            with SACClient(handle.host, handle.port) as client:
+                sub_id = client.subscribe(label, K, params=EPS)["id"]
+                poller = threading.Thread(target=parked_poll, args=(sub_id,))
+                poller.start()
+                deadline = time.monotonic() + 20.0
+                while handle.server._parked < 1:
+                    assert time.monotonic() < deadline, "the poll never parked"
+                    time.sleep(0.01)
+                client.unsubscribe(sub_id)
+                poller.join(timeout=10)
+        finally:
+            handle.stop()
+        assert not poller.is_alive(), "the parked poll outlived its subscription"
+        assert outcome == {"status": 404}
+
+    def test_zero_timeout_polls_reuse_the_keep_alive_connection(
+        self, base_graph, monkeypatch
+    ):
+        """``timeout_ms=0`` is a poll that does not park, not an unset timeout."""
+        handle = serve(base_graph)
+        label = eligible_labels(
+            IncrementalEngine(base_graph.mutable_copy()), 1
+        )[0]
+        opened = []
+
+        class CountingConnection(http.client.HTTPConnection):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs.get("timeout"))
+                super().__init__(*args, **kwargs)
+
+        try:
+            with SACClient(handle.host, handle.port) as client:
+                sub_id = client.subscribe(label, K, params=EPS)["id"]
+                monkeypatch.setattr(http.client, "HTTPConnection", CountingConnection)
+                for _ in range(5):
+                    assert client.poll(sub_id, timeout_ms=0)["messages"] == []
+        finally:
+            handle.stop()
+        assert opened == []
