@@ -483,13 +483,19 @@ class QueryContext:
         return circle
 
     def make_result(
-        self, algorithm: str, members, stats: Optional[Dict[str, float]] = None
+        self,
+        algorithm: str,
+        members,
+        stats: Optional[Dict[str, float]] = None,
+        *,
+        footprint: Optional[np.ndarray] = None,
     ) -> SACResult:
         """Wrap a member set into an :class:`SACResult` with its MCC.
 
         ``members`` is a probe's sorted array or any other iterable
         :class:`Members` is built from.  The MEC is looked up under the
-        same key the query's probes measured it with.
+        same key the query's probes measured it with.  ``footprint`` is
+        passed through (AppFast's, see :func:`repro.core.appfast.unchanged_by`).
         """
         stats = dict(stats or {})
         stats.setdefault("feasibility_checks", self.feasibility_checks)
@@ -501,6 +507,7 @@ class QueryContext:
             members=Members(members),
             circle=self.mcc_of(members),
             stats=stats,
+            footprint=footprint,
         )
 
 

@@ -160,6 +160,11 @@ class SACResult:
         Algorithm-specific bookkeeping (number of feasibility checks, binary
         search iterations, candidate-set sizes, ...), useful for the
         efficiency experiments.
+    footprint:
+        The sorted, read-only ``float64`` distances from the query that
+        AppFast's binary search compared candidate distances against (see
+        :func:`repro.core.appfast.unchanged_by`), or ``None`` for every
+        other answer.  Not part of equality.
     """
 
     algorithm: str
@@ -168,6 +173,7 @@ class SACResult:
     members: Members
     circle: Circle
     stats: Dict[str, float] = field(default_factory=dict)
+    footprint: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", Members(self.members))

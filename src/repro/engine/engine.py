@@ -30,12 +30,14 @@ component's bundle.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import count
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.appfast import Move
 from repro.core.base import CandidateArtifacts, QueryContext, validate_query
 from repro.core.result import SACResult
 from repro.core.searcher import ALGORITHMS
@@ -49,6 +51,9 @@ from repro.kcore.decomposition import core_numbers, gather_neighbors
 #: external answer cache can key entries by engine without ever confusing a
 #: dead engine's answers with a new engine bound to a different graph.
 _CACHE_TOKENS = count()
+
+#: How many version bumps the move log keeps (all components together).
+_MOVE_LOG_BUMPS = 256
 
 
 @dataclass
@@ -203,6 +208,12 @@ class QueryEngine:
         # at and treat any bump as an eviction notice; for a static engine
         # the counters never move, so cached answers stay valid forever.
         self._bundle_versions: Dict[Tuple[int, int], int] = {}
+        # The last _MOVE_LOG_BUMPS bumps as ((k, representative), version
+        # after the bump, cause): a check-in's Move, or None for an edge
+        # update or a bundle drop.  Read by checkins_between.
+        self._move_log: Deque[Tuple[Tuple[int, int], int, Optional[Move]]] = deque(
+            maxlen=_MOVE_LOG_BUMPS
+        )
 
     # ------------------------------------------------------------ warm start
     @classmethod
@@ -385,6 +396,32 @@ class QueryEngine:
         the current version differs from ``v``.
         """
         return self._bundle_versions.get((k, int(representative)), 0)
+
+    def checkins_between(
+        self, k: int, representative: int, since: int, until: int
+    ) -> Optional[List[Move]]:
+        """The check-ins that moved the component from version ``since`` to ``until``.
+
+        In order, one :data:`~repro.core.appfast.Move` per bump.  ``None``
+        when any bump in between was not a check-in (an edge update or a
+        bundle drop) or has left the log, which keeps the last
+        ``_MOVE_LOG_BUMPS`` bumps of all components.  Only reads, but not
+        safe beside a mutation.
+        """
+        key, wanted = (int(k), int(representative)), int(until) - int(since)
+        moves: List[Move] = []
+        if wanted <= 0:
+            return moves if wanted == 0 else None
+        for logged, version, move in reversed(self._move_log):
+            if logged != key or version > until:
+                continue
+            if move is None or version <= since:
+                break
+            moves.append(move)
+            if len(moves) == wanted:
+                moves.reverse()
+                return moves
+        return None
 
     def bundle_resident(self, k: int, representative: int) -> bool:
         """Whether the ``(k, representative)`` artifact bundle is **resident**.

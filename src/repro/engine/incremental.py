@@ -30,10 +30,11 @@ edge flips, and queries to enforce exactly that.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.appfast import Move
 from repro.core.base import CandidateArtifacts
 from repro.engine.engine import QueryEngine
 from repro.exceptions import InvalidParameterError
@@ -71,7 +72,10 @@ class IncrementalEngine(QueryEngine):
         """
         user = int(user)
         x, y = float(x), float(y)
-        self.graph.update_location(user, x, y)  # validates the vertex
+        graph = self.graph
+        old = graph.position(user) if 0 <= user < graph.num_vertices else None
+        graph.update_location(user, x, y)  # validates the vertex
+        move = (user, *old, x, y)
         for key, bundle in list(self._artifacts.items()):
             candidates = bundle.candidate_array
             position = int(np.searchsorted(candidates, user))
@@ -88,7 +92,7 @@ class IncrementalEngine(QueryEngine):
                 # Patched state diverges from the snapshot: pin the bundle
                 # (its arrays are the only copy) until the next snapshot.
                 self._artifacts.mark_dirty(key)
-                self._bump_version(key)
+                self._bump_version(key, move)
         # Non-resident bundles cannot be patched, but any that contain the
         # user are now stale relative to the snapshot: mark them dirty so
         # the next touch rebuilds from the live graph instead of loading
@@ -100,7 +104,7 @@ class IncrementalEngine(QueryEngine):
             position = int(np.searchsorted(members, user))
             if position < members.size and int(members[position]) == user:
                 self._artifacts.mark_dirty(key)
-                self._bump_version(key)
+                self._bump_version(key, move)
         self.stats.location_updates += 1
 
     # ------------------------------------------------------------ WAL replay
@@ -306,7 +310,7 @@ class IncrementalEngine(QueryEngine):
         self.stats.bundles_thawed += 1
         return thawed
 
-    def _bump_version(self, key: Tuple[int, int]) -> None:
+    def _bump_version(self, key: Tuple[int, int], move: Optional[Move] = None) -> None:
         """Advance the component version behind ``(k, representative)``.
 
         The version counter is the eviction signal consumed by
@@ -316,8 +320,15 @@ class IncrementalEngine(QueryEngine):
         inspecting the graph.  Bumps ride the existing representative-keyed
         invalidation machinery — a component the update did not touch keeps
         its version, and with it every cached answer.
+
+        The bump's cause goes into the move log: the check-in's ``move``, or
+        ``None`` for an edge update.  Through :meth:`checkins_between` the
+        cache keeps an AppFast answer across check-ins its footprint shows
+        cannot change it.
         """
-        self._bundle_versions[key] = self._bundle_versions.get(key, 0) + 1
+        version = self._bundle_versions.get(key, 0) + 1
+        self._bundle_versions[key] = version
+        self._move_log.append((key, version, move))
 
     def _bundle_contains_any(self, key: Tuple[int, int], vertices: np.ndarray) -> bool:
         """Whether the bundle's sorted candidate array intersects ``vertices``."""

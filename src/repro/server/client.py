@@ -68,7 +68,14 @@ class SACClient:
         self.last_headers: Dict[str, str] = {}
 
     # -------------------------------------------------------------- transport
-    def _request(self, method: str, path: str, body: Optional[dict] = None) -> dict:
+    def _request(
+        self,
+        method: str,
+        path: str,
+        body: Optional[dict] = None,
+        *,
+        timeout: Optional[float] = None,
+    ) -> dict:
         """Send one request, re-dialing once if the kept-alive socket died.
 
         The re-dial-and-resend is restricted to read-only requests: a
@@ -77,6 +84,10 @@ class SACClient:
         twice.  Mutations instead get a fresh dial *before* the send (so a
         server-closed idle keep-alive socket cannot fail them) and surface
         any later failure to the caller unretried.
+
+        ``timeout`` widens the socket timeout for this one request (a
+        long-poll's park); the client's own :attr:`timeout` is restored
+        afterwards, also when the request raises.
         """
         payload = json.dumps(body).encode("utf-8") if body is not None else None
         headers = {"Content-Type": "application/json"} if payload else {}
@@ -88,9 +99,12 @@ class SACClient:
                 self._connection = http.client.HTTPConnection(
                     self.host, self.port, timeout=self.timeout
                 )
+            connection = self._connection
             try:
-                self._connection.request(method, path, body=payload, headers=headers)
-                response = self._connection.getresponse()
+                if timeout is not None:
+                    _set_timeout(connection, timeout)
+                connection.request(method, path, body=payload, headers=headers)
+                response = connection.getresponse()
                 raw = response.read()
                 break
             except (ConnectionError, http.client.HTTPException, OSError):
@@ -100,6 +114,9 @@ class SACClient:
                 self.close()
                 if attempt == 2 or not resend_safe:
                     raise
+            finally:
+                if timeout is not None:
+                    _set_timeout(connection, self.timeout)
         self.last_headers = {
             name.lower(): value for name, value in response.getheaders()
         }
@@ -228,34 +245,19 @@ class SACClient:
         """``GET /subscribe`` — long-poll one subscription for deltas.
 
         Returns ``{"id", "messages", "draining"}``; ``messages`` may be
-        empty when the park timed out.  The HTTP socket timeout is widened
-        past the requested park so a quiet subscription never reads as a
-        dead server; a ``timeout_ms`` beyond the server's configured cap is
+        empty when the park timed out.  The poll rides the keep-alive
+        connection, whose socket timeout is widened past the requested park
+        for this one request, so a quiet subscription never reads as a dead
+        server; a ``timeout_ms`` beyond the server's configured cap is
         silently capped server-side.
         """
         query = {"id": sub_id}
         if timeout_ms is not None:
             query["timeout_ms"] = repr(float(timeout_ms))
-        path = f"/subscribe?{urlencode(query)}"
         budget = (30000.0 if timeout_ms is None else timeout_ms) / 1000.0 + 10.0
-        if budget <= self.timeout:
-            return self._request("GET", path)
-        # A park longer than the client's socket timeout needs a dedicated
-        # wider-timeout connection — the shared keep-alive one would abort
-        # the poll early.
-        connection = http.client.HTTPConnection(self.host, self.port, timeout=budget)
-        try:
-            connection.request("GET", path)
-            response = connection.getresponse()
-            raw = response.read()
-        finally:
-            connection.close()
-        decoded = json.loads(raw) if raw else {}
-        if response.status >= 400:
-            raise ServerError(
-                response.status, decoded.get("error", raw.decode("utf-8", "replace"))
-            )
-        return decoded
+        return self._request(
+            "GET", f"/subscribe?{urlencode(query)}", timeout=max(budget, self.timeout)
+        )
 
     def unsubscribe(self, sub_id: str) -> dict:
         """``POST /unsubscribe`` — drop a standing query."""
@@ -268,6 +270,13 @@ class SACClient:
     def healthz(self) -> dict:
         """``GET /healthz`` — liveness and the serving surface's shape."""
         return self._request("GET", "/healthz")
+
+
+def _set_timeout(connection: http.client.HTTPConnection, timeout: float) -> None:
+    """Set the timeout of ``connection`` and of its socket, if it is open."""
+    connection.timeout = timeout
+    if connection.sock is not None:
+        connection.sock.settimeout(timeout)
 
 
 def parallel_queries(

@@ -20,8 +20,9 @@ network server.  These ideas organise it:
   bit-identical to applying the same request sequence serially in arrival
   order: queries received before a check-in are answered against the
   pre-mutation graph, queries received after against the post-mutation
-  graph, and the engine's component-version counters invalidate exactly
-  the cached answers the mutation could have changed.
+  graph, and a cached answer outlives a mutation only when the
+  component-version counters or, for a check-in, the answer's AppFast
+  footprint show that the mutation cannot have changed it.
 * **Cache hits on the event loop** — while no job that can change an
   answer (anything but a read batch) is queued or running, a best-effort
   ``/query`` whose answer the cache holds fresh is answered on the event

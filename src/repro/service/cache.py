@@ -14,10 +14,22 @@ cached answer records the ``(k, representative)`` of the component it was
 computed in and that component's **version**
 (:meth:`~repro.engine.QueryEngine.component_version`).  The incremental
 engine bumps the version whenever it patches a bundle in place (check-in) or
-drops one (edge update) — which is *exactly* the set of mutations that can
-change any answer inside the component — so a lookup simply compares
-versions: mismatch means stale, and only the touched component's answers are
-evicted.  Static engines never bump, so their answers never expire.
+drops one (edge update), so a lookup first compares versions: a match is a
+hit, and a component no mutation touched keeps all its answers.  Static
+engines never bump, so their answers never expire.
+
+A version bump says that the component changed, not that the answer did.
+An AppFast answer carries a **footprint**
+(:attr:`~repro.core.result.SACResult.footprint`), the distances from the
+query its binary search compared against, and the engine logs what caused
+each bump (:meth:`~repro.engine.QueryEngine.checkins_between`).  A stale
+entry with a footprint is **revalidated** — restamped to the current
+version and served — when every bump since its stamp was a check-in that
+:func:`repro.core.appfast.unchanged_by` shows cannot change it: the mover
+is neither the query nor a member, and stays on the same side of every
+footprint distance.  Any other stale entry (an edge update, a bump that has
+left the engine's log, another algorithm's answer, a new representative)
+is dropped and counted in ``invalidations``.
 
 Two classes of answers are deliberately not cached:
 
@@ -31,9 +43,9 @@ Two classes of answers are deliberately not cached:
 An entry keeps the result itself: its members are one sorted, read-only
 ``int32`` array (:class:`~repro.core.result.Members`, about 2.4 KiB for 600
 members), which every hit hands out as it is.  Besides the entry count the
-cache is bounded in bytes: each entry is charged its member array plus
-``_ENTRY_OVERHEAD``, and least recently used entries are evicted while the
-total is above ``_CACHE_BYTES``.
+cache is bounded in bytes: each entry is charged its member array, its
+footprint and ``_ENTRY_OVERHEAD``, and least recently used entries are
+evicted while the total is above ``_CACHE_BYTES``.
 
 Threading contract
 ------------------
@@ -44,12 +56,15 @@ through :meth:`AnswerCache.lookup_fresh`.  Every method is safe from any
 thread: one internal lock guards the entry map and :attr:`AnswerCache.stats`,
 and it is held only for dict work.  The live stamps of :meth:`~AnswerCache.lookup`
 and :meth:`~AnswerCache.store` are engine reads and are resolved before the
-lock is taken, so a lookup never waits behind a search or a labelling.  A
+lock is taken, so a lookup never waits behind a search or a labelling.  The
+footprint test of a stale entry reads the engine's move log outside the
+lock too, and the entry is restamped under it only if it is still the one
+tested (:meth:`~AnswerCache.lookup_fresh` holds the lock throughout).  A
 stored entry is never mutated, so a hit may be copied after the lock is
 released.  The lock makes the cache consistent, not the stamps: a caller
-off the engine thread must read a component's stamp while no mutation is
-queued or running (the daemon's fence), or it may judge a stale entry
-fresh.
+off the engine thread must read a component's stamp and move log while no
+mutation is queued or running (the daemon's fence), or it may judge a
+stale entry fresh.
 """
 
 from __future__ import annotations
@@ -59,6 +74,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.appfast import unchanged_by
 from repro.core.result import SACResult
 from repro.engine import QueryEngine
 from repro.exceptions import InvalidParameterError, NoCommunityError
@@ -112,7 +128,11 @@ class CacheStats:
         its hits.
     invalidations:
         Entries dropped at lookup time because their component's version had
-        moved (or the query vertex left its component entirely).
+        moved (or the query vertex left its component entirely) and their
+        footprint could not keep them.
+    revalidated:
+        Stale entries kept because every check-in since their stamp left
+        their footprint alone; each is also counted in ``hits``.
     stores / evictions:
         Answers written, and answers pushed out by the LRU bounds (the
         entry count or the byte cap).
@@ -132,6 +152,7 @@ class CacheStats:
     evictions: int = 0
     uncacheable: int = 0
     nbytes: int = 0
+    revalidated: int = 0
 
 
 class AnswerCache:
@@ -192,9 +213,11 @@ class AnswerCache:
         """Return the cached answer for the query, or ``None``.
 
         A hit requires the stored entry's component representative *and*
-        version to match the engine's current view; anything else drops the
-        entry and reports a miss, so a stale answer can never be served.
-        The current view is resolved only when an entry exists.
+        version to match the engine's current view, or the entry's
+        footprint to show that the check-ins since cannot change it
+        (restamping it); anything else drops the entry and reports a miss,
+        so a stale answer can never be served.  The current view is
+        resolved only when an entry exists.
         """
         query = int(query)
         key = self._key(engine, query, k, algorithm, params)
@@ -245,9 +268,10 @@ class AnswerCache:
         pair once per group and this lookup only compares stored stamps
         against it — no per-query ``component_of`` walk.  Validation is the
         same as :meth:`lookup`: a stamp mismatch (the vertex changed
-        component, or the component's artifacts moved) drops the entry and
-        reports a miss.  Hits carry fresh stats-dict copies, misses keep the
-        group's first-seen query order.
+        component, or the component's artifacts moved) that the footprint
+        cannot revalidate drops the entry and reports a miss.  Hits carry
+        fresh stats-dict copies, misses keep the group's first-seen query
+        order.
         """
         stamp = (int(representative), int(version))
         return self._check(engine, queries, k, algorithm, params, stamp)
@@ -296,7 +320,8 @@ class AnswerCache:
         learn how many queries each would actually have to compute; a probe
         must not touch hit/miss counters, LRU recency, or stale entries —
         only the rung finally chosen does a real :meth:`lookup_group`.  A
-        stale stamp counts as a miss here but the entry is left in place.
+        stale entry the footprint would revalidate is not a miss; any other
+        stale entry is, and is left in place.
         """
         queries = [int(query) for query in queries]
         if not versioned(k):
@@ -308,7 +333,8 @@ class AnswerCache:
         return [
             query
             for query, entry in zip(queries, entries)
-            if entry is None or entry[1:3] != stamp
+            if entry is None
+            or (entry[1:3] != stamp and not _revalidates(engine, query, k, entry, stamp))
         ]
 
     def store_group(
@@ -345,7 +371,9 @@ class AnswerCache:
     ) -> Tuple[Dict[int, SACResult], List[int]]:
         """The one stamp check: split ``queries`` into ``(hits, misses)``.
 
-        Entries are compared against ``stamp``; a stale entry is dropped.
+        Entries are compared against ``stamp``.  A stale entry is tested
+        against the check-ins since its stamp outside the lock, then, if it
+        is still the entry held, restamped (a hit) or dropped (a miss).
         ``None`` means no stamp was resolved because no entry was held: an
         entry found now was stored since, and is a miss that stays.
         """
@@ -356,7 +384,7 @@ class AnswerCache:
             return {}, queries
         keys = [self._key(engine, query, k, algorithm, params) for query in queries]
         found: Dict[int, SACResult] = {}
-        misses: List[int] = []
+        stale = []
         with self._lock:
             entries, stats = self._entries, self.stats
             for query, key in zip(queries, keys):
@@ -365,13 +393,29 @@ class AnswerCache:
                     entries.move_to_end(key)
                     stats.hits += 1
                     found[query] = entry[0]
-                    continue
-                if entry is not None and stamp is not None:
-                    del entries[key]
-                    stats.nbytes -= entry[3]
-                    stats.invalidations += 1
-                stats.misses += 1
-                misses.append(query)
+                elif entry is not None and stamp is not None:
+                    stale.append((query, key, entry))
+                else:
+                    stats.misses += 1
+        if stale:
+            kept = [_revalidates(engine, query, k, entry, stamp) for query, _, entry in stale]
+            with self._lock:
+                for (query, key, entry), keep in zip(stale, kept):
+                    held = entries.get(key)
+                    if held is entry and keep:
+                        held = entries[key] = (entry[0], *stamp, entry[3])
+                        stats.revalidated += 1
+                    if held is not None and held[1:3] == stamp:
+                        entries.move_to_end(key)
+                        stats.hits += 1
+                        found[query] = held[0]
+                        continue
+                    if held is entry:
+                        del entries[key]
+                        stats.nbytes -= entry[3]
+                        stats.invalidations += 1
+                    stats.misses += 1
+        misses = [query for query in queries if query not in found]
         # Fresh stats dict per hit: SACResult is frozen but its stats dict is
         # not, and a caller writing into it must never corrupt the cached
         # copy (or other callers' hits).  The members are read-only and shared.
@@ -394,7 +438,7 @@ class AnswerCache:
         staged = [
             (
                 self._key(engine, query, k, algorithm, params),
-                (_copy(result), *stamp, result.members.array.nbytes + _ENTRY_OVERHEAD),
+                (_copy(result), *stamp, _charge(result)),
             )
             for query, result in results.items()
         ]
@@ -412,9 +456,33 @@ class AnswerCache:
                 stats.evictions += 1
 
 
+def _revalidates(
+    engine: QueryEngine, query: int, k: int, entry: tuple, stamp: Tuple[int, int]
+) -> bool:
+    """Whether a stale ``entry`` still answers ``query`` at ``stamp``.
+
+    True when the representative matches and every bump since the entry's
+    version was a check-in that leaves its AppFast footprint alone.  Reads
+    the engine only; the cache's state is untouched.
+    """
+    result, representative, version, _ = entry
+    if result.footprint is None or representative != stamp[0]:
+        return False
+    moves = engine.checkins_between(k, representative, version, stamp[1])
+    return moves is not None and unchanged_by(
+        result, engine.graph.position(query), moves
+    )
+
+
+def _charge(result: SACResult) -> int:
+    """Bytes an entry holding ``result`` is charged."""
+    footprint = 0 if result.footprint is None else result.footprint.nbytes
+    return result.members.array.nbytes + footprint + _ENTRY_OVERHEAD
+
+
 def _copy(result: SACResult) -> SACResult:
-    """``result`` with a private stats dict; the members are shared."""
+    """``result`` with a private stats dict; the members and footprint are shared."""
     return SACResult(
         result.algorithm, result.query, result.k, result.members, result.circle,
-        dict(result.stats),
+        dict(result.stats), result.footprint,
     )

@@ -14,9 +14,10 @@ The layering keeps one invariant: every path — single query, planned
 batch, cache hit — returns bit-identical
 :class:`~repro.core.result.SACResult`\\ s for the same graph state.  The
 cache can only make that claim because invalidation is driven by the
-engine's component-version counters (see :mod:`repro.service.cache`), which
-the incremental engine bumps for exactly the components each mutation
-touches.
+engine's component-version counters, which the incremental engine bumps for
+exactly the components each mutation touches, and by AppFast footprints,
+which keep an answer only across check-ins that cannot change it (see
+:mod:`repro.service.cache`).
 """
 
 from __future__ import annotations
@@ -451,9 +452,11 @@ class SACService:
     def apply_checkin(self, user: int, x: float, y: float) -> None:
         """Apply a location update through the incremental engine.
 
-        The engine patches its bundles in place and bumps the touched
-        component versions, which lazily evicts exactly the cached answers
-        the move could have changed.
+        The engine patches its bundles in place, bumps the touched component
+        versions and logs the move.  A cached AppFast answer in those
+        components is kept (revalidated at its next lookup) when the mover
+        is neither its query nor a member and crosses none of its
+        footprint's distances; every other cached answer there is dropped.
         """
         self._incremental_engine().apply_checkin(user, x, y)
 

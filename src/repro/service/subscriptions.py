@@ -41,10 +41,10 @@ Threading contract
 ------------------
 ``register``, ``evaluate``, ``rebind`` and ``expire_idle`` touch the engine
 and MUST run serialized on the daemon's single-writer barrier (the engine
-thread).  ``poll``, ``pending``, ``unsubscribe``, ``snapshot`` and
-``stats_dict`` are safe from any thread (the daemon's event loop calls them
-while mutations run): all queue/state handoff happens under one internal
-lock, held only for dict/deque work — never during a search.
+thread).  ``poll``, ``unsubscribe``, ``snapshot`` and ``stats_dict`` are
+safe from any thread (the daemon's event loop calls them while mutations
+run): all queue/state handoff happens under one internal lock, held only
+for dict/deque work — never during a search.
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ class SubscriptionRegistry:
             self.stats.unsubscribed += 1
             return True
 
-    def poll(self, sub_id: str, *, limit: Optional[int] = None) -> List[dict]:
+    def poll(self, sub_id: str) -> List[dict]:
         """Drain the subscription's pending messages (may be empty).
 
         A pending resync is delivered first, as one full-snapshot message
@@ -331,10 +331,8 @@ class SubscriptionRegistry:
                 sub.seq += 1
                 self.stats.resyncs += 1
                 messages.append(self._message(sub, "resync"))
-            take = len(sub.queue) if limit is None else max(0, int(limit))
-            if take:
-                messages.extend(sub.queue[:take])
-                del sub.queue[:take]
+            messages.extend(sub.queue)
+            sub.queue.clear()
             self.stats.deltas_delivered += len(messages)
             return messages
 

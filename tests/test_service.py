@@ -146,7 +146,9 @@ class TestAnswerCache:
         hit = cache.lookup(engine, queries[0], 4, "appfast", {})
         assert hit.members is result.members
         assert not hit.members.array.flags.writeable
-        assert cache.stats.nbytes == result.members.array.nbytes + _ENTRY_OVERHEAD
+        assert cache.stats.nbytes == (
+            result.members.array.nbytes + result.footprint.nbytes + _ENTRY_OVERHEAD
+        )
 
     def test_byte_cap_bounds_answers_far_larger_than_gowallas(self, graph):
         # Gowalla's AppFast answers hold about 600 members; these hold

@@ -142,15 +142,24 @@ class _Mirror:
 
 
 def _operations(num_vertices):
-    """Random interleavings of mutations and subscription traffic."""
+    """Random interleavings of mutations and subscription traffic.
+
+    ``near`` check-ins land a vertex close to a subscribed vertex, so its
+    moves cross the distances the subscription's AppFast search compared
+    against (its footprint), and sometimes tie with them.
+    """
     vertex = st.integers(min_value=0, max_value=num_vertices - 1)
     slot = st.integers(min_value=0, max_value=7)
     coordinate = st.floats(
         min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False
     )
+    offset = st.one_of(
+        st.just(0.0), st.floats(min_value=-0.2, max_value=0.2, allow_nan=False)
+    )
     return st.lists(
         st.one_of(
             st.tuples(st.just("checkin"), vertex, coordinate, coordinate),
+            st.tuples(st.just("near"), vertex, slot, offset, offset),
             st.tuples(st.just("edge"), vertex, vertex),
             st.tuples(st.just("subscribe"), vertex),
             st.tuples(st.just("unsubscribe"), slot),
@@ -182,6 +191,7 @@ class TestDifferentialConformance:
         engine, graph = service.engine, service.graph
         mirrors = {}  # sub_id -> (_Mirror, vertex, evals_since_poll)
         order = []  # registration order, for slot addressing
+        registry_vertex = {}  # sub_id -> subscribed vertex, kept after unsubscribe
 
         def drain_and_check(sub_id, context):
             mirror, vertex, pending_evals = mirrors[sub_id]
@@ -203,6 +213,10 @@ class TestDifferentialConformance:
 
         for step, op in enumerate(ops):
             kind = op[0]
+            if kind == "near" and order:
+                # Check in next to a subscribed vertex (live or not).
+                x, y = graph.position(registry_vertex[order[op[2] % len(order)]])
+                op, kind = ("checkin", op[1], x + op[3], y + op[4]), "checkin"
             if kind == "checkin":
                 engine.apply_checkin(op[1], op[2], op[3])
                 evaluate()
@@ -223,6 +237,7 @@ class TestDifferentialConformance:
                 )
                 mirrors[sub.sub_id] = (mirror, op[1], 0)
                 order.append(sub.sub_id)
+                registry_vertex[sub.sub_id] = op[1]
             elif kind == "unsubscribe" and order:
                 sub_id = order[op[1] % len(order)]
                 if sub_id in mirrors:
@@ -641,11 +656,17 @@ class TestLongPollOnly:
         assert not poller.is_alive(), "the parked poll outlived its subscription"
         assert outcome == {"status": 404}
 
+    @pytest.mark.parametrize("timeout_ms", [0, None, 25_000])
     def test_zero_timeout_polls_reuse_the_keep_alive_connection(
-        self, base_graph, monkeypatch
+        self, base_graph, monkeypatch, timeout_ms
     ):
-        """``timeout_ms=0`` is a poll that does not park, not an unset timeout."""
-        handle = serve(base_graph)
+        """Every poll rides the keep-alive connection, parked or not.
+
+        ``timeout_ms=0`` does not park; ``None`` and ``25000`` park up to the
+        server's 50 ms cap, on a socket widened past the requested park for
+        that one request and restored to the client's timeout afterwards.
+        """
+        handle = serve(base_graph, poll_timeout_ms=50)
         label = eligible_labels(
             IncrementalEngine(base_graph.mutable_copy()), 1
         )[0]
@@ -660,8 +681,14 @@ class TestLongPollOnly:
             with SACClient(handle.host, handle.port) as client:
                 sub_id = client.subscribe(label, K, params=EPS)["id"]
                 monkeypatch.setattr(http.client, "HTTPConnection", CountingConnection)
-                for _ in range(5):
-                    assert client.poll(sub_id, timeout_ms=0)["messages"] == []
+                for _ in range(3):
+                    assert client.poll(sub_id, timeout_ms=timeout_ms)["messages"] == []
+                    assert client._connection.sock.gettimeout() == client.timeout
+                    assert client._connection.timeout == client.timeout
+                with pytest.raises(ServerError) as excinfo:
+                    client.poll("no-such-id", timeout_ms=timeout_ms)
+                assert excinfo.value.status == 404
+                assert client._connection.sock.gettimeout() == client.timeout
         finally:
             handle.stop()
         assert opened == []
